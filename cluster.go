@@ -51,15 +51,18 @@ type Cluster struct {
 	sts     []*stats.Node
 	allocs  []*alloc.Service
 	procs   *proc.Cluster
-	inj     *chaos.Injector    // nil unless Config.Chaos was set
-	rd      *drace.Detector    // nil unless Config.DRace was set
-	prof    *metrics.Collector // nil unless Config.Profile was set
+	inj     *chaos.Injector // nil unless Config.Chaos was set
 	elapsed sim.Time
 	ran     bool
 
-	// Tracing state; all nil/zero unless StartTrace (or Config.Trace)
-	// enabled it.
-	tr        *trace.Collector
+	// inst is the instrumentation plane every node's SVM observes
+	// through (see instrument): the race detector (Config.DRace), the
+	// profiler (Config.Profile), the span collector (StartTrace) and the
+	// page tracer (SetPageTrace), each nil until armed.
+	inst core.Instruments
+
+	// Trace export state, zero unless StartTrace (or Config.Trace)
+	// enabled tracing.
 	traceW    io.Writer
 	sampleIvl time.Duration
 }
@@ -84,19 +87,6 @@ func New(cfg Config) *Cluster {
 	numPages := cfg.SharedPages
 	if rcOn {
 		numPages *= 2
-	}
-	if cfg.DRace {
-		// The detector hooks live on the checked access tails; the TLB
-		// fast paths are kept call-free (//ivy:hotpath), so arming the
-		// detector routes every access through a hooked tail. Virtual time
-		// is identical either way (see Config.DisableTLB).
-		cfg.DisableTLB = true
-	}
-	if cfg.Profile {
-		// Same mechanism as DRace: the profiler's dirty-word hooks live on
-		// the checked store tails, so profiling disables the TLBs to route
-		// every write through a hooked tail. Virtual time is unchanged.
-		cfg.DisableTLB = true
 	}
 	eng := sim.New(cfg.Seed)
 	c := &Cluster{cfg: cfg, eng: eng, tps: make([]ring.Transport, cfg.Processors)}
@@ -187,16 +177,28 @@ func New(cfg Config) *Cluster {
 		}
 	}
 	c.procs = proc.NewCluster(eng, c.svms, *cfg.Balance)
-	c.procs.SetDisableTLB(cfg.DisableTLB)
 	for i := 0; i < cfg.Processors; i++ {
 		nodes[i] = c.procs.Node(i)
 	}
+	now := func() time.Duration { return eng.Now().Duration() }
 	if cfg.DRace {
-		c.armDRace()
+		// The process layer adds the fork/join edges and the vector
+		// clocks carried by notify and migration messages.
+		c.inst.Race = drace.New(c.Base(), cfg.PageSize, now)
+		c.procs.SetRaceDetector(c.inst.Race)
 	}
 	if cfg.Profile {
-		c.armProfile()
+		// One collector serves the whole cluster: page indices are
+		// global, and the dirty-word map follows a page's ownership from
+		// node to node (serveWrite flushes it at each hand-off).
+		c.inst.Profile = metrics.NewCollector(c.Base(), uint64(cfg.PageSize), cfg.SharedPages,
+			func() int64 { return int64(now()) })
 	}
+	// The access subscribers hook the checked tails only, so they route
+	// every access there; virtual time is identical either way (see
+	// Config.DisableTLB).
+	c.procs.SetDisableTLB(cfg.DisableTLB || c.inst.Checked())
+	c.instrument()
 	if cfg.Chaos != nil {
 		c.armChaos(*cfg.Chaos)
 	}
@@ -206,30 +208,12 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// armDRace builds the happens-before race detector and installs it on
-// every SVM (access checks) and the process layer (fork/join edges, the
-// vector clocks carried by notify and migration messages).
-func (c *Cluster) armDRace() {
-	c.rd = drace.New(c.svms[0].Base(), c.cfg.PageSize,
-		func() time.Duration { return c.eng.Now().Duration() })
+// instrument installs the cluster's instrumentation plane on every
+// node; each subscriber is armed by setting it in c.inst and calling
+// this.
+func (c *Cluster) instrument() {
 	for _, svm := range c.svms {
-		svm.SetRaceDetector(c.rd)
-	}
-	c.procs.SetRaceDetector(c.rd)
-	if c.tr != nil {
-		c.rd.SetTraceCollector(c.tr)
-	}
-}
-
-// armProfile builds the shared coherence profiler and installs it on
-// every SVM. One collector serves the whole cluster: page indices are
-// global, and the dirty-word map follows a page's ownership from node to
-// node (serveWrite flushes it at each hand-off).
-func (c *Cluster) armProfile() {
-	c.prof = metrics.NewCollector(c.svms[0].Base(), uint64(c.cfg.PageSize),
-		c.cfg.SharedPages, func() int64 { return int64(c.eng.Now().Duration()) })
-	for _, svm := range c.svms {
-		svm.SetProfiler(c.prof)
+		svm.Instrument(c.inst)
 	}
 }
 
@@ -241,18 +225,18 @@ type MetricsSnapshot = metrics.Snapshot
 // so far, or nil when Config.Profile is off. Deterministic per
 // (seed, config).
 func (c *Cluster) MetricsSnapshot() *MetricsSnapshot {
-	if c.prof == nil {
+	if c.inst.Profile == nil {
 		return nil
 	}
-	return c.prof.Snapshot()
+	return c.inst.Profile.Snapshot()
 }
 
 // LabelRegion attaches name to the address range [base, base+size) in
 // the profiler, so ivyprof reports can attribute pages to application
 // arrays. A no-op when Config.Profile is off.
 func (c *Cluster) LabelRegion(name string, base, size uint64) {
-	if c.prof != nil {
-		c.prof.LabelRegion(name, base, size)
+	if c.inst.Profile != nil {
+		c.inst.Profile.LabelRegion(name, base, size)
 	}
 }
 
@@ -263,10 +247,10 @@ type RaceReport = drace.Report
 // detection order, deduplicated per (word, access pair). Deterministic
 // per (seed, config). Empty when Config.DRace is off.
 func (c *Cluster) RaceReports() []RaceReport {
-	if c.rd == nil {
+	if c.inst.Race == nil {
 		return nil
 	}
-	return c.rd.Reports()
+	return c.inst.Race.Reports()
 }
 
 // armChaos converts the public ChaosOpts into the internal fault plane
@@ -389,30 +373,28 @@ func (c *Cluster) StartTrace(w io.Writer, opts TraceOpts) {
 	if c.ran {
 		panic("ivy: StartTrace after Run")
 	}
-	if c.tr != nil {
+	if c.inst.Spans != nil {
 		panic("ivy: StartTrace called twice")
 	}
 	if c.nw == nil {
 		panic("ivy: span tracing is a simulator plane; not available over " + c.cfg.Transport)
 	}
-	c.tr = trace.NewCollector(func() time.Duration { return c.eng.Now().Duration() })
+	tr := trace.NewCollector(func() time.Duration { return c.eng.Now().Duration() })
+	c.inst.Spans = tr
 	c.traceW = w
 	c.sampleIvl = opts.SampleInterval
-	c.nw.SetTracer(c.tr)
+	c.nw.SetTracer(tr)
 	for _, svm := range c.svms {
-		svm.SetTraceCollector(c.tr)
-		svm.Endpoint().SetTracer(c.tr)
+		svm.Endpoint().SetTracer(tr)
 	}
-	c.procs.SetTraceCollector(c.tr)
-	if c.rd != nil {
-		c.rd.SetTraceCollector(c.tr)
-	}
+	c.procs.SetTraceCollector(tr)
+	c.instrument()
 }
 
 // TraceCollector returns the active span collector, or nil when tracing
 // is off. Consumers needing the raw spans (tests, custom reports)
 // import repro/internal/trace for the types.
-func (c *Cluster) TraceCollector() *trace.Collector { return c.tr }
+func (c *Cluster) TraceCollector() *trace.Collector { return c.inst.Spans }
 
 // Processors returns the cluster size.
 func (c *Cluster) Processors() int { return c.cfg.Processors }
@@ -459,7 +441,7 @@ func (c *Cluster) Run(main func(p *Proc)) error {
 		c.procs.Stop()
 		c.eng.Stop()
 	})
-	if c.tr != nil && c.sampleIvl > 0 {
+	if c.inst.Spans != nil && c.sampleIvl > 0 {
 		cancel := c.armSampler()
 		defer cancel()
 	}
@@ -518,7 +500,7 @@ func (c *Cluster) armSampler() (cancel func()) {
 		ns := c.nw.Stats()
 		smp := trace.Sample{
 			Time:            c.eng.Now().Duration(),
-			InFlightFaults:  c.tr.InFlightFaults(),
+			InFlightFaults:  c.inst.Spans.InFlightFaults(),
 			RingUtilization: float64(ns.WireBusy-lastBusy) / float64(c.sampleIvl),
 			Resident:        make([]int, len(c.svms)),
 			Runnable:        make([]int, len(c.svms)),
@@ -533,20 +515,21 @@ func (c *Cluster) armSampler() (cancel func()) {
 			}
 			smp.Runnable[i] = r
 		}
-		c.tr.AddSample(smp)
+		c.inst.Spans.AddSample(smp)
 	})
 }
 
 // finishTrace closes open spans and writes the Perfetto export.
 func (c *Cluster) finishTrace() error {
-	if c.tr == nil {
+	tr := c.inst.Spans
+	if tr == nil {
 		return nil
 	}
-	c.tr.CloseOpen()
+	tr.CloseOpen()
 	if c.traceW == nil {
 		return nil
 	}
-	if err := trace.ExportPerfetto(c.traceW, c.tr, len(c.svms)); err != nil {
+	if err := trace.ExportPerfetto(c.traceW, tr, len(c.svms)); err != nil {
 		return fmt.Errorf("ivy: trace export: %w", err)
 	}
 	return nil
@@ -641,17 +624,14 @@ type PageEvent = core.PageEvent
 // cycle (replication, invalidation, ownership movement). Install before
 // Run; fn runs in engine context and must not block.
 func (c *Cluster) SetPageTrace(addr uint64, fn func(PageEvent)) {
-	p := c.svms[0].PageOf(addr)
-	for _, svm := range c.svms {
-		svm.SetPageTracer(p, false, fn)
-	}
+	c.inst.Pages, c.inst.Page, c.inst.AllPages = fn, c.svms[0].PageOf(addr), false
+	c.instrument()
 }
 
 // SetAllPagesTrace traces every page's transitions (verbose).
 func (c *Cluster) SetAllPagesTrace(fn func(PageEvent)) {
-	for _, svm := range c.svms {
-		svm.SetPageTracer(0, true, fn)
-	}
+	c.inst.Pages, c.inst.Page, c.inst.AllPages = fn, 0, true
+	c.instrument()
 }
 
 // Latencies returns a merged cluster-wide view of the fault-service

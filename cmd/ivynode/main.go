@@ -27,6 +27,7 @@ import (
 	"time"
 
 	ivy "repro"
+	"repro/internal/cli"
 )
 
 func main() {
@@ -34,7 +35,7 @@ func main() {
 		rank    = flag.Int("rank", -1, "this process's node id")
 		listen  = flag.String("listen", "", "TCP bind address (default: own -peers entry)")
 		peers   = flag.String("peers", "", "comma-separated rank=host:port for EVERY rank, e.g. 0=127.0.0.1:7100,1=127.0.0.1:7101")
-		manager = flag.String("manager", "dynamic", "coherence manager: dynamic, improved, fixed, broadcast, basic")
+		manager = flag.String("manager", "dynamic", "manager: dynamic, centralized, fixed, broadcast, basic")
 		app     = flag.String("app", "dotprod", "program to run: dotprod, counter")
 		n       = flag.Int("n", 4096, "problem size (dotprod: vector length; counter: increments per rank)")
 		pages   = flag.Int("pages", 1024, "shared pages (must match on every rank)")
@@ -55,7 +56,7 @@ func main() {
 	if *rank < 0 || *rank >= size {
 		fatal(fmt.Errorf("-rank %d out of range [0,%d)", *rank, size))
 	}
-	alg, err := parseManager(*manager)
+	alg, err := cli.ParseManager(*manager)
 	if err != nil {
 		fatal(err)
 	}
@@ -128,22 +129,6 @@ func parsePeers(s string) (map[int]string, int, error) {
 		}
 	}
 	return m, len(m), nil
-}
-
-func parseManager(s string) (ivy.Algorithm, error) {
-	switch s {
-	case "dynamic":
-		return ivy.DynamicDistributed, nil
-	case "improved":
-		return ivy.ImprovedCentralized, nil
-	case "fixed":
-		return ivy.FixedDistributed, nil
-	case "broadcast":
-		return ivy.BroadcastManager, nil
-	case "basic":
-		return ivy.BasicCentralized, nil
-	}
-	return 0, fmt.Errorf("unknown -manager %q", s)
 }
 
 func fatal(err error) {

@@ -189,9 +189,11 @@ type Config struct {
 	// DRace arms the dynamic happens-before data-race detector (see
 	// internal/drace and DESIGN.md §10): accesses unordered by program
 	// synchronization — eventcounts, sequencers, test-and-set locks,
-	// spawn/join, migration — are collected as reports (RaceReports). It
+	// spawn/join, migration — are collected as reports (RaceReports).
+	// The detector subscribes to the instrumentation plane's access and
+	// sync events (DESIGN.md §6); like every access subscriber it
 	// implies DisableTLB so every access reaches an instrumented checked
-	// path; schedules and message counts are unchanged, and the only
+	// path. Schedules and message counts are unchanged, and the only
 	// virtual-time effect is the wire time of vector clocks piggybacked
 	// on NotifyReq/MigrateReq (see PROTOCOL.md). False — the default —
 	// costs one predicted branch per access.
@@ -201,11 +203,13 @@ type Config struct {
 	// DESIGN.md §11): per-page fault/invalidation/transfer counters,
 	// ownership ping-pong intervals, and the dirty-word maps that
 	// quantify false sharing, exposed through MetricsSnapshot and
-	// cmd/ivyprof. Like DRace it implies DisableTLB so every write
-	// reaches an instrumented checked tail; virtual time, fault counts,
+	// cmd/ivyprof. The profiler subscribes to the instrumentation
+	// plane's coherence and access events (DESIGN.md §6); like DRace it
+	// is an access subscriber, so it implies DisableTLB and every write
+	// reaches an instrumented checked tail. Virtual time, fault counts,
 	// and message counts are unchanged (profiling adds zero wire bytes —
 	// see PROTOCOL.md). False — the default — costs one predicted branch
-	// per instrument point.
+	// per hook site.
 	Profile bool
 
 	// Horizon bounds a Run in virtual time (default 1000 hours); hitting

@@ -1,10 +1,12 @@
 package ivy
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/parallel"
+	"repro/internal/trace"
 )
 
 // plantedRace is the racedemo bug in miniature: a writer fills data
@@ -13,7 +15,12 @@ import (
 // but no program-level synchronization (eventcount, lock, spawn/join)
 // orders the accesses — exactly what the detector must report.
 func plantedRace(seed int64) []RaceReport {
-	c := New(Config{Processors: 2, Seed: seed, DRace: true})
+	return runPlantedRace(Config{Processors: 2, Seed: seed, DRace: true}).RaceReports()
+}
+
+// runPlantedRace runs the planted race on a cluster built from cfg.
+func runPlantedRace(cfg Config) *Cluster {
+	c := New(cfg)
 	err := c.Run(func(p *Proc) {
 		const words = 8
 		buf := p.MustMalloc(8 * (words + 1))
@@ -40,7 +47,7 @@ func plantedRace(seed int64) []RaceReport {
 	if err != nil {
 		panic(err)
 	}
-	return c.RaceReports()
+	return c
 }
 
 // TestDRacePlantedRaceDeterministic requires the detector to catch the
@@ -67,6 +74,33 @@ func TestDRacePlantedRaceDeterministic(t *testing.T) {
 			if got[i] != first[i] {
 				t.Fatalf("run %d report %d differs:\n  first: %v\n  this:  %v", run+2, i, got[i], first[i])
 			}
+		}
+	}
+}
+
+// TestDRaceReportsTraced pins the detector's feed into the span
+// tracer: armed together, every report also lands in the trace as a
+// race instant on the accessing node at the access's virtual time, and
+// the reports equal the untraced run's.
+func TestDRaceReportsTraced(t *testing.T) {
+	want := plantedRace(7)
+	c := runPlantedRace(Config{Processors: 2, Seed: 7, DRace: true, Trace: &TraceConfig{}})
+	if got := c.RaceReports(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("tracing changed the race reports:\n  got:  %v\n  want: %v", got, want)
+	}
+	var spans []trace.Span
+	for _, sp := range c.TraceCollector().Spans() {
+		if sp.Phase == trace.PhaseRace {
+			spans = append(spans, sp)
+		}
+	}
+	if len(spans) != len(want) {
+		t.Fatalf("%d race spans for %d reports", len(spans), len(want))
+	}
+	for i, r := range want {
+		sp := spans[i]
+		if sp.Node != r.Node || sp.Start != r.Time || sp.End != r.Time || sp.Page != int32(r.Page) || sp.Detail != r.String() {
+			t.Errorf("race span %d = %+v, want an instant for %v", i, sp, r)
 		}
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"repro/internal/disk"
 	"repro/internal/drace"
 	"repro/internal/memfs"
-	"repro/internal/metrics"
 	"repro/internal/mmu"
 	"repro/internal/model"
 	"repro/internal/rc"
@@ -40,7 +39,6 @@ import (
 	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // DefaultBase is the start of the shared portion of the address space.
@@ -234,17 +232,10 @@ type SVM struct {
 	bcastInval bool
 	st         *stats.Node
 	lat        stats.Latency
-	tracer     *traceCfg
-	trc        *trace.Collector
 
-	// rd is the cluster's race detector, nil (the default) when drace is
-	// off. Every hook guards on it, so the disabled cost is one branch.
-	rd *drace.Detector
-
-	// prof is the cluster's shared coherence profiler, nil (the default)
-	// when Config.Profile is off. Same discipline as rd: every hook
-	// guards on it, so the disabled cost is one branch.
-	prof *metrics.Collector
+	// obs is the node's instrumentation plane, nil (the default) when
+	// nothing is armed; see observe.go.
+	obs *Observer
 
 	// invalDrop is a chaos-test-only hook: when set and it returns true,
 	// handleInvalidate acks WITHOUT invalidating the local copy — a
@@ -253,8 +244,8 @@ type SVM struct {
 	invalDrop func(mmu.PageID) bool
 
 	// rcn is the node's release-consistency protocol state, nil (the
-	// default) under sequential consistency. Same discipline as rd and
-	// prof: every touch point guards on it, so the SC cost is one branch
+	// default) under sequential consistency. Same discipline as obs:
+	// every touch point guards on it, so the SC cost is one branch
 	// in the fault slow path and the sync primitives — the hot-path
 	// accessors never consult it.
 	rcn *rc.Node
@@ -333,59 +324,6 @@ func (s *SVM) Stats() *stats.Node { return s.st }
 // Latency returns the node's fault-service histograms.
 func (s *SVM) Latency() *stats.Latency { return &s.lat }
 
-// SetTraceCollector installs the protocol span collector on this node
-// (nil = tracing off, the default). The node's paging disk shares it.
-func (s *SVM) SetTraceCollector(c *trace.Collector) {
-	s.trc = c
-	s.dsk.SetTracer(c, int(s.node))
-}
-
-// beginFault opens a fault root span and binds it to the faulting fiber
-// so the layers below (remop, ring, disk) attribute their work to this
-// fault. It returns the span plus the fiber's previous trace context for
-// endFault to restore. With tracing off it is two loads and a compare —
-// no allocation, no defer.
-func (s *SVM) beginFault(f *sim.Fiber, ph trace.Phase, p mmu.PageID) (trace.SpanID, uint64) {
-	if s.trc == nil {
-		return 0, 0
-	}
-	prev := f.Trace()
-	id := s.trc.Begin(int(s.node), ph, 0, int32(p), "")
-	f.SetTrace(uint64(id))
-	return id, prev
-}
-
-// endFault closes a fault root span and restores the fiber's context.
-func (s *SVM) endFault(f *sim.Fiber, id trace.SpanID, prev uint64) {
-	if id == 0 {
-		return
-	}
-	s.trc.End(id)
-	f.SetTrace(prev)
-}
-
-// beginPhase opens a child span under the fiber's current context and
-// rebinds the fiber to it, so nested work (wire, serve, disk) nests
-// under the phase. Returns (0, 0) untraced.
-func (s *SVM) beginPhase(f *sim.Fiber, ph trace.Phase, p mmu.PageID, detail string) (trace.SpanID, uint64) {
-	if s.trc == nil || f.Trace() == 0 {
-		return 0, 0
-	}
-	prev := f.Trace()
-	id := s.trc.Begin(int(s.node), ph, trace.SpanID(prev), int32(p), detail)
-	f.SetTrace(uint64(id))
-	return id, prev
-}
-
-// endPhase closes a child span opened by beginPhase.
-func (s *SVM) endPhase(f *sim.Fiber, id trace.SpanID, prev uint64) {
-	if id == 0 {
-		return
-	}
-	s.trc.End(id)
-	f.SetTrace(prev)
-}
-
 // Endpoint returns the remote-operation endpoint.
 func (s *SVM) Endpoint() *remop.Endpoint { return s.ep }
 
@@ -409,7 +347,7 @@ func (s *SVM) PageAddr(p mmu.PageID) uint64 {
 // the node's paging disk; read copies and clean owned pages are dropped.
 // Either way the page traps on its next local reference.
 func (s *SVM) onEvict(f *sim.Fiber, p mmu.PageID, data []byte) {
-	defer s.trace("onEvict", p)
+	defer s.obs.page("onEvict", p)
 	e := s.table.Entry(p)
 	if e.IsOwner && e.Dirty {
 		s.dsk.Write(f, p, data)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/remop"
 	"repro/internal/ring"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -35,7 +34,7 @@ func (s *SVM) ReadBytes(ctx Ctx, addr uint64, n int) []byte {
 			chunk = n - off
 		}
 		frame := s.frameForRead(ctx, p)
-		s.raceRead(ctx, a, uint64(chunk))
+		s.obs.access(ctx, a, uint64(chunk), false)
 		copy(out[off:off+chunk], frame[po:po+chunk])
 		// frameForRead charged one reference; charge the rest of the
 		// chunk word by word, as the hardware would issue them.
@@ -60,8 +59,7 @@ func (s *SVM) WriteBytes(ctx Ctx, addr uint64, data []byte) {
 			chunk = len(data) - off
 		}
 		frame := s.frameForWrite(ctx, p)
-		s.raceWrite(ctx, a, uint64(chunk))
-		s.profWrite(a, uint64(chunk))
+		s.obs.access(ctx, a, uint64(chunk), true)
 		copy(frame[po:po+chunk], data[off:off+chunk])
 		if words := (chunk - 1) / 8; words > 0 {
 			ctx.Charge(time.Duration(words) * s.costs.MemRef)
@@ -101,7 +99,7 @@ func (s *SVM) ReadU64s(ctx Ctx, addr uint64, dst []uint64) {
 	for off < len(dst) {
 		p, po, words := s.alignedWords(addr+uint64(off)*8, len(dst)-off)
 		frame := s.frameForRead(ctx, p)
-		s.raceRead(ctx, addr+uint64(off)*8, uint64(words)*8)
+		s.obs.access(ctx, addr+uint64(off)*8, uint64(words)*8, false)
 		for i := 0; i < words; i++ {
 			dst[off+i] = binary.LittleEndian.Uint64(frame[po+8*i:])
 		}
@@ -119,8 +117,7 @@ func (s *SVM) WriteU64s(ctx Ctx, addr uint64, src []uint64) {
 	for off < len(src) {
 		p, po, words := s.alignedWords(addr+uint64(off)*8, len(src)-off)
 		frame := s.frameForWrite(ctx, p)
-		s.raceWrite(ctx, addr+uint64(off)*8, uint64(words)*8)
-		s.profWrite(addr+uint64(off)*8, uint64(words)*8)
+		s.obs.access(ctx, addr+uint64(off)*8, uint64(words)*8, true)
 		for i := 0; i < words; i++ {
 			binary.LittleEndian.PutUint64(frame[po+8*i:], src[off+i])
 		}
@@ -137,7 +134,7 @@ func (s *SVM) ReadF64s(ctx Ctx, addr uint64, dst []float64) {
 	for off < len(dst) {
 		p, po, words := s.alignedWords(addr+uint64(off)*8, len(dst)-off)
 		frame := s.frameForRead(ctx, p)
-		s.raceRead(ctx, addr+uint64(off)*8, uint64(words)*8)
+		s.obs.access(ctx, addr+uint64(off)*8, uint64(words)*8, false)
 		for i := 0; i < words; i++ {
 			dst[off+i] = math.Float64frombits(binary.LittleEndian.Uint64(frame[po+8*i:]))
 		}
@@ -154,8 +151,7 @@ func (s *SVM) WriteF64s(ctx Ctx, addr uint64, src []float64) {
 	for off < len(src) {
 		p, po, words := s.alignedWords(addr+uint64(off)*8, len(src)-off)
 		frame := s.frameForWrite(ctx, p)
-		s.raceWrite(ctx, addr+uint64(off)*8, uint64(words)*8)
-		s.profWrite(addr+uint64(off)*8, uint64(words)*8)
+		s.obs.access(ctx, addr+uint64(off)*8, uint64(words)*8, true)
 		for i := 0; i < words; i++ {
 			binary.LittleEndian.PutUint64(frame[po+8*i:], math.Float64bits(src[off+i]))
 		}
@@ -200,9 +196,8 @@ func (s *SVM) CopyWords(ctx Ctx, dst, src uint64, n int) {
 		} else {
 			srcFrame = dstFrame
 		}
-		s.raceRead(ctx, src+uint64(off)*8, uint64(words)*8)
-		s.raceWrite(ctx, dst+uint64(off)*8, uint64(words)*8)
-		s.profWrite(dst+uint64(off)*8, uint64(words)*8)
+		s.obs.access(ctx, src+uint64(off)*8, uint64(words)*8, false)
+		s.obs.access(ctx, dst+uint64(off)*8, uint64(words)*8, true)
 		copy(dstFrame[dpo:dpo+8*words], srcFrame[spo:spo+8*words])
 		if words > 1 {
 			ctx.Charge(time.Duration(2*(words-1)) * s.costs.MemRef)
@@ -248,9 +243,8 @@ func (s *SVM) copyWordsBackward(ctx Ctx, dst, src uint64, n int) {
 		} else {
 			srcFrame = dstFrame
 		}
-		s.raceRead(ctx, src+8*uint64(end-words), uint64(words)*8)
-		s.raceWrite(ctx, dst+8*uint64(end-words), uint64(words)*8)
-		s.profWrite(dst+8*uint64(end-words), uint64(words)*8)
+		s.obs.access(ctx, src+8*uint64(end-words), uint64(words)*8, false)
+		s.obs.access(ctx, dst+8*uint64(end-words), uint64(words)*8, true)
 		copy(dstFrame[dpo:dpo+8*words], srcFrame[spo:spo+8*words])
 		if words > 1 {
 			ctx.Charge(time.Duration(2*(words-1)) * s.costs.MemRef)
@@ -359,7 +353,7 @@ func (s *SVM) readU64Checked(ctx Ctx, t *TLB, addr uint64) uint64 {
 	}
 	p, po := s.scalarSpan(addr, 8)
 	frame := s.frameForReadChecked(ctx, t, p)
-	s.raceRead(ctx, addr, 8)
+	s.obs.access(ctx, addr, 8, false)
 	return binary.LittleEndian.Uint64(frame[po:])
 }
 
@@ -431,8 +425,7 @@ func (s *SVM) writeU64Checked(ctx Ctx, t *TLB, addr uint64, v uint64) {
 	}
 	p, po := s.scalarSpan(addr, 8)
 	frame := s.frameForWriteChecked(ctx, t, p)
-	s.raceWrite(ctx, addr, 8)
-	s.profWrite(addr, 8)
+	s.obs.access(ctx, addr, 8, true)
 	binary.LittleEndian.PutUint64(frame[po:], v)
 }
 
@@ -475,7 +468,7 @@ func (s *SVM) ReadU32(ctx Ctx, addr uint64) uint32 {
 	}
 	p, po := s.scalarSpan(addr, 4)
 	frame := s.frameForReadChecked(ctx, t, p)
-	s.raceRead(ctx, addr, 4)
+	s.obs.access(ctx, addr, 4, false)
 	return binary.LittleEndian.Uint32(frame[po:])
 }
 
@@ -492,8 +485,7 @@ func (s *SVM) WriteU32(ctx Ctx, addr uint64, v uint32) {
 	}
 	p, po := s.scalarSpan(addr, 4)
 	frame := s.frameForWriteChecked(ctx, t, p)
-	s.raceWrite(ctx, addr, 4)
-	s.profWrite(addr, 4)
+	s.obs.access(ctx, addr, 4, true)
 	binary.LittleEndian.PutUint32(frame[po:], v)
 }
 
@@ -509,7 +501,7 @@ func (s *SVM) ReadU8(ctx Ctx, addr uint64) uint8 {
 	}
 	p, po := s.scalarSpan(addr, 1)
 	frame := s.frameForReadChecked(ctx, t, p)
-	s.raceRead(ctx, addr, 1)
+	s.obs.access(ctx, addr, 1, false)
 	return frame[po]
 }
 
@@ -526,8 +518,7 @@ func (s *SVM) WriteU8(ctx Ctx, addr uint64, v uint8) {
 	}
 	p, po := s.scalarSpan(addr, 1)
 	frame := s.frameForWriteChecked(ctx, t, p)
-	s.raceWrite(ctx, addr, 1)
-	s.profWrite(addr, 1)
+	s.obs.access(ctx, addr, 1, true)
 	frame[po] = v
 }
 
@@ -552,10 +543,9 @@ func (s *SVM) TestAndSet(ctx Ctx, addr uint64) bool {
 		return false
 	}
 	frame[po] = 1
-	s.profWrite(addr, 1)
 	// A successful test-and-set is a lock acquire: order this process
 	// after every release (Clear) of the same lock so far.
-	s.RaceAcquire(ctx, addr)
+	s.obs.syncWrite(ctx, addr, true)
 	// Under release consistency the lock acquire is also the point where
 	// this node must stop trusting cached copies that released writes
 	// have made stale.
@@ -583,8 +573,7 @@ func (s *SVM) TestAndSetLatch(ctx Ctx, addr uint64) bool {
 		return false
 	}
 	frame[po] = 1
-	s.profWrite(addr, 1)
-	s.RaceAcquire(ctx, addr)
+	s.obs.syncWrite(ctx, addr, true)
 	return true
 }
 
@@ -598,8 +587,7 @@ func (s *SVM) ClearLatch(ctx Ctx, addr uint64) {
 	ctx.Charge(s.costs.TestAndSet)
 	frame := s.frameForWrite(ctx, p)
 	frame[po] = 0
-	s.profWrite(addr, 1)
-	s.RaceRelease(ctx, addr)
+	s.obs.syncWrite(ctx, addr, false)
 }
 
 // Clear atomically resets the byte at addr to 0 (lock release).
@@ -615,10 +603,9 @@ func (s *SVM) Clear(ctx Ctx, addr uint64) {
 	ctx.Charge(s.costs.TestAndSet) // before the frame, as in TestAndSet
 	frame := s.frameForWrite(ctx, p)
 	frame[po] = 0
-	s.profWrite(addr, 1)
 	// Clearing the byte is the lock release: publish everything this
 	// process did while holding it.
-	s.RaceRelease(ctx, addr)
+	s.obs.syncWrite(ctx, addr, false)
 }
 
 // frameForRead returns page p's frame with at least read access. The
@@ -645,11 +632,10 @@ func (s *SVM) frameForReadChecked(ctx Ctx, t *TLB, p mmu.PageID) []byte {
 	e := s.table.Entry(p)
 	if e.Access != mmu.AccessNil {
 		if fr := s.pool.GetFrame(p); fr != nil {
-			// With the race detector or profiler armed the TLBs are never
-			// refilled (Config.DRace and Config.Profile force DisableTLB,
-			// so t is nil anyway): every access must reach a hooked
-			// checked tail.
-			if t != nil && s.rd == nil && s.prof == nil {
+			// With an access subscriber armed the TLBs are never
+			// refilled (the facade disables them then, so t is nil
+			// anyway): every access must reach a hooked checked tail.
+			if t != nil && s.obs.fillsTLB() {
 				t.fill(s, p, e, fr, e.Access)
 			}
 			return fr.Data()
@@ -680,7 +666,7 @@ func (s *SVM) frameForWriteChecked(ctx Ctx, t *TLB, p mmu.PageID) []byte {
 			if !e.Dirty {
 				e.Dirty = true
 			}
-			if t != nil && s.rd == nil && s.prof == nil { // see frameForReadChecked
+			if t != nil && s.obs.fillsTLB() { // see frameForReadChecked
 				t.fill(s, p, e, fr, mmu.AccessWrite)
 			}
 			return fr.Data()
@@ -720,8 +706,14 @@ func (s *SVM) slowPath(ctx Ctx, p mmu.PageID, write bool) []byte {
 			// Release-consistent data page: no owners, no invalidation —
 			// fetch from the home and, for writes, twin (internal/rc). RC
 			// pages never carry IsOwner, so none of the SC arms below can
-			// fire for them.
+			// fire for them. Observed like an SC read or write fault.
+			ev := evRead
+			if write {
+				ev = evWrite
+			}
+			m := s.obs.begin(f, ev, p)
 			s.rcn.Fault(f, p, write)
+			s.obs.end(f, m)
 		case e.IsOwner && !s.pool.Resident(p):
 			s.diskFault(ctx, p)
 		case e.IsOwner && write:
@@ -747,11 +739,10 @@ func (s *SVM) slowPath(ctx Ctx, p mmu.PageID, write bool) []byte {
 // cost no disk transfer). Restored access is write when no other node
 // holds a copy, read otherwise.
 func (s *SVM) diskFault(ctx Ctx, p mmu.PageID) {
-	defer s.trace("diskFault", p)
 	f := ctx.Fiber()
 	s.st.SVM.DiskFaults++
 	start := s.eng.Now()
-	span, prevTrc := s.beginFault(f, trace.PhaseDiskFault, p)
+	m := s.obs.begin(f, evDisk, p)
 	e := s.table.Entry(p)
 	var data []byte
 	if s.dsk.Has(p) {
@@ -765,7 +756,7 @@ func (s *SVM) diskFault(ctx Ctx, p mmu.PageID) {
 	} else {
 		e.Access = mmu.AccessRead
 	}
-	s.endFault(f, span, prevTrc)
+	s.obs.end(f, m)
 	s.lat.DiskFault.Record(s.eng.Now().Sub(start))
 }
 
@@ -775,15 +766,13 @@ func (s *SVM) diskFault(ctx Ctx, p mmu.PageID) {
 // centralized manager, whose manager holds the copyset — the strategy
 // decides (see manager.upgrade).
 func (s *SVM) upgradeFault(ctx Ctx, p mmu.PageID) {
-	defer s.trace("upgradeFault", p)
 	f := ctx.Fiber()
 	s.st.SVM.LocalUpgrades++
-	s.profUpgrade(p)
 	start := s.eng.Now()
-	span, prevTrc := s.beginFault(f, trace.PhaseUpgrade, p)
+	m := s.obs.begin(f, evUpgrade, p)
 	chargeCPU(f, s.cpu, s.costs.FaultTrap)
 	s.mgr.upgrade(ctx, p)
-	s.endFault(f, span, prevTrc)
+	s.obs.end(f, m)
 	s.st.SVM.FaultStall += s.eng.Now().Sub(start)
 	s.lat.Upgrade.Record(s.eng.Now().Sub(start))
 }
@@ -791,19 +780,16 @@ func (s *SVM) upgradeFault(ctx Ctx, p mmu.PageID) {
 // readFault obtains a read copy of page p through the configured manager
 // algorithm. Called with the page lock held.
 func (s *SVM) readFault(ctx Ctx, p mmu.PageID) {
-	s.trace("readFault>", p)
-	defer s.trace("readFault<", p)
 	f := ctx.Fiber()
 	s.st.SVM.ReadFaults++
-	s.profReadFault(p)
 	start := s.eng.Now()
-	span, prevTrc := s.beginFault(f, trace.PhaseReadFault, p)
+	m := s.obs.begin(f, evRead, p)
 	chargeCPU(f, s.cpu, s.costs.FaultTrap)
 	e := s.table.Entry(p)
 	for attempt := 0; ; attempt++ {
-		loc, locPrev := s.beginPhase(f, trace.PhaseLocate, p, "")
+		loc := s.obs.begin(f, evLocate, p)
 		reply, err := s.mgr.locateRead(ctx, p)
-		s.endPhase(f, loc, locPrev)
+		s.obs.end(f, loc)
 		if err != nil {
 			// Retransmissions exhausted or destination down: back off,
 			// then start the fault over (the owner may have moved, or the
@@ -832,7 +818,7 @@ func (s *SVM) readFault(ctx Ctx, p mmu.PageID) {
 		break
 	}
 	s.mgr.confirmRead(p)
-	s.endFault(f, span, prevTrc)
+	s.obs.end(f, m)
 	s.st.SVM.FaultStall += s.eng.Now().Sub(start)
 	s.lat.ReadFault.Record(s.eng.Now().Sub(start))
 }
@@ -840,19 +826,16 @@ func (s *SVM) readFault(ctx Ctx, p mmu.PageID) {
 // writeFault obtains ownership of page p with exclusive access. Called
 // with the page lock held.
 func (s *SVM) writeFault(ctx Ctx, p mmu.PageID) {
-	s.trace("writeFault>", p)
-	defer s.trace("writeFault<", p)
 	f := ctx.Fiber()
 	s.st.SVM.WriteFaults++
-	s.profWriteFault(p)
 	start := s.eng.Now()
-	span, prevTrc := s.beginFault(f, trace.PhaseWriteFault, p)
+	m := s.obs.begin(f, evWrite, p)
 	chargeCPU(f, s.cpu, s.costs.FaultTrap)
 	e := s.table.Entry(p)
 	for attempt := 0; ; attempt++ {
-		loc, locPrev := s.beginPhase(f, trace.PhaseLocate, p, "")
+		loc := s.obs.begin(f, evLocate, p)
 		reply, err := s.mgr.locateWrite(ctx, p)
-		s.endPhase(f, loc, locPrev)
+		s.obs.end(f, loc)
 		if err != nil {
 			s.st.SVM.FaultErrors++
 			retryPause(f, attempt)
@@ -882,7 +865,7 @@ func (s *SVM) writeFault(ctx Ctx, p mmu.PageID) {
 		break
 	}
 	s.mgr.confirmWrite(p)
-	s.endFault(f, span, prevTrc)
+	s.obs.end(f, m)
 	s.st.SVM.FaultStall += s.eng.Now().Sub(start)
 	s.lat.WriteFault.Record(s.eng.Now().Sub(start))
 }
@@ -897,9 +880,9 @@ func (s *SVM) invalidate(f *sim.Fiber, p mmu.PageID, cs mmu.Copyset) {
 	var buf [wire.MaxNodes]ring.NodeID
 	members := cs.AppendTo(buf[:0])
 	s.st.SVM.InvalSent += uint64(len(members))
-	s.profInvalSent(p, len(members))
+	s.obs.invalSent(p, len(members))
 	start := s.eng.Now()
-	span, prevTrc := s.beginPhase(f, trace.PhaseInval, p, "")
+	m := s.obs.begin(f, evInval, p)
 	req := &wire.InvalidateReq{Page: uint32(p), NewOwner: uint16(s.node)}
 	if s.bcastInval {
 		// Broadcast with replies-from-all: non-holders ack trivially.
@@ -919,7 +902,7 @@ func (s *SVM) invalidate(f *sim.Fiber, p mmu.PageID, cs mmu.Copyset) {
 			retryPause(f, attempt)
 		}
 	}
-	s.endPhase(f, span, prevTrc)
+	s.obs.end(f, m)
 	s.lat.Inval.Record(s.eng.Now().Sub(start))
 }
 
@@ -964,10 +947,8 @@ func (s *SVM) takeData(f *sim.Fiber, p mmu.PageID) []byte {
 // of the page. Returns nil when not the owner (the caller forwards or
 // declines according to the algorithm).
 func (s *SVM) serveRead(f *sim.Fiber, origin ring.NodeID, p mmu.PageID) *wire.PageReadReply {
-	defer s.trace("serveRead", p)
-	if span, prev := s.beginPhase(f, trace.PhaseServe, p, "read"); span != 0 {
-		defer s.endPhase(f, span, prev)
-	}
+	m := s.obs.begin(f, evServeRead, p)
+	defer s.obs.end(f, m)
 	s.table.Lock(f, p)
 	defer s.table.Unlock(p)
 	e := s.table.Entry(p)
@@ -976,7 +957,7 @@ func (s *SVM) serveRead(f *sim.Fiber, origin ring.NodeID, p mmu.PageID) *wire.Pa
 	}
 	frame := s.residentFrame(f, p)
 	e.Copyset = e.Copyset.Add(origin)
-	s.profCopysetAdd(p)
+	s.obs.copysetAdd(p)
 	// The owner keeps the page with read access — downgraded from write,
 	// or restored after residentFrame paged an evicted page back in.
 	// Cached write-mode translations must not survive the downgrade.
@@ -996,10 +977,8 @@ func (s *SVM) serveRead(f *sim.Fiber, origin ring.NodeID, p mmu.PageID) *wire.Pa
 // point the probOwner hint at the new owner. Returns nil when not the
 // owner.
 func (s *SVM) serveWrite(f *sim.Fiber, origin ring.NodeID, p mmu.PageID) *wire.PageWriteReply {
-	defer s.trace("serveWrite", p)
-	if span, prev := s.beginPhase(f, trace.PhaseServe, p, "write"); span != 0 {
-		defer s.endPhase(f, span, prev)
-	}
+	m := s.obs.begin(f, evServeWrite, p)
+	defer s.obs.end(f, m)
 	s.table.Lock(f, p)
 	defer s.table.Unlock(p)
 	e := s.table.Entry(p)
@@ -1007,7 +986,7 @@ func (s *SVM) serveWrite(f *sim.Fiber, origin ring.NodeID, p mmu.PageID) *wire.P
 		return nil
 	}
 	data := s.takeData(f, p)
-	s.profTransfer(p) // ownership leaves this node: flush its dirty map
+	s.obs.transfer(p) // ownership leaves this node: flush its dirty map
 	cs := e.Copyset
 	e.Copyset = 0
 	e.IsOwner = false
@@ -1037,15 +1016,9 @@ func (s *SVM) installHandlers() {
 func (s *SVM) handleInvalidate(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 	m := env.Body.(*wire.InvalidateReq)
 	p := mmu.PageID(m.Page)
-	defer s.trace("handleInval", p)
-	if s.trc != nil && ctx.Fiber() != nil {
-		if ft := ctx.Fiber().Trace(); ft != 0 {
-			s.trc.Instant(int(s.node), trace.PhaseInvalRecv, trace.SpanID(ft), int32(p), "")
-		}
-	}
+	defer s.obs.invalRecv(ctx.Fiber(), p)
 	e := s.table.Entry(p)
 	s.st.SVM.InvalReceived++
-	s.profInvalRecv(p)
 	if s.invalDrop != nil && s.invalDrop(p) {
 		// Chaos-test hook: acknowledge WITHOUT revoking the copy. This
 		// breaks the single-writer invariant on purpose so the

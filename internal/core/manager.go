@@ -542,7 +542,7 @@ func (m *basicMgr) managerInvalidate(f *sim.Fiber, p mmu.PageID, keep ring.NodeI
 	}
 	if !cs.Empty() {
 		s.st.SVM.InvalSent += uint64(cs.Count())
-		s.profInvalSent(p, cs.Count())
+		s.obs.invalSent(p, cs.Count())
 		req := &wire.InvalidateReq{Page: uint32(p), NewOwner: uint16(keep)}
 		var buf [wire.MaxNodes]ring.NodeID
 		members := cs.AppendTo(buf[:0])
@@ -562,7 +562,7 @@ func (m *basicMgr) locateRead(ctx Ctx, p mmu.PageID) (*wire.PageReadReply, error
 	if m.isManager() {
 		m.dir.Lock(ctx.Fiber(), p)
 		m.copysets[p] = m.copysetOf(p).Add(s.node)
-		s.profCopysetAdd(p)
+		s.obs.copysetAdd(p)
 		owner := m.dir.Owner(p)
 		if owner == s.node {
 			panic(fmt.Sprintf("core: manager read-faulting on page %d it owns", p))
@@ -772,7 +772,7 @@ func (m *basicMgr) handle(ctx *remop.Ctx, env *wire.Envelope, p mmu.PageID, read
 		owner := m.dir.Owner(p)
 		if read {
 			m.copysets[p] = m.copysetOf(p).Add(origin)
-			s.profCopysetAdd(p)
+			s.obs.copysetAdd(p)
 		} else {
 			m.managerInvalidate(f, p, origin)
 			if owner == origin {

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // epoch packs (tid, clock) into one word: tid<<48 | clock.
@@ -104,7 +103,6 @@ type Detector struct {
 	base     uint64
 	pageSize uint64
 	now      func() time.Duration
-	trc      *trace.Collector
 }
 
 // New builds a detector for a shared space of pageSize-byte pages
@@ -125,10 +123,6 @@ func New(base uint64, pageSize int, now func() time.Duration) *Detector {
 	d.root = d.newThread("root")
 	return d
 }
-
-// SetTraceCollector attaches the span collector; each report then also
-// records an instant PhaseRace span on the accessing node.
-func (d *Detector) SetTraceCollector(trc *trace.Collector) { d.trc = trc }
 
 func (d *Detector) newThread(name string) *Thread {
 	t := &Thread{d: d, tid: len(d.threads), name: name}
@@ -389,8 +383,5 @@ func (d *Detector) report(t *Thread, node int, word uint64, curWrite bool, prevE
 		PrevTid: prevTid, PrevName: prevName, PrevWrite: prevWrite,
 	}
 	d.reports = append(d.reports, r)
-	if d.trc != nil {
-		d.trc.Instant(node, trace.PhaseRace, 0, int32(page), r.String())
-	}
 	return 1
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/drace"
 	"repro/internal/proc"
 )
@@ -16,7 +17,7 @@ func newRaceRig(t *testing.T, n int) (*rig, *drace.Detector) {
 	r := newRig(t, n, 1)
 	d := drace.New(r.svms[0].Base(), 1024, func() time.Duration { return r.eng.Now().Duration() })
 	for _, s := range r.svms {
-		s.SetRaceDetector(d)
+		s.Instrument(core.Instruments{Race: d})
 	}
 	r.cluster.SetDisableTLB(true)
 	r.cluster.SetRaceDetector(d)
@@ -116,7 +117,7 @@ func TestEventcountHappensBefore(t *testing.T) {
 					for e.Read(p) < 1 {
 						p.Fiber().Sleep(10 * time.Millisecond)
 					}
-					p.Node().SVM().ReadU64(p, d1)    // ordered by the acquire
+					p.Node().SVM().ReadU64(p, d1)     // ordered by the acquire
 					p.Node().SVM().WriteU64(p, d2, 7) // not published anywhere
 				}, proc.CreateOpts{Name: "r1"})
 				r.cluster.Node(2).Create(func(p *proc.Process) {

@@ -3,7 +3,7 @@
 // analyzers the module-wide view their invariants actually live at:
 // "no simulated-world function transitively reaches a goroutine
 // launch", "no cycle in the lock acquisition order", "every access
-// entry point reaches both instrumentation planes". Per-file AST
+// entry point reaches the instrumentation plane". Per-file AST
 // checks cannot answer reachability questions; this graph can.
 //
 // The design mirrors what golang.org/x/tools provides with

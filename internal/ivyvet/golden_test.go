@@ -57,11 +57,11 @@ func TestWiresymGolden(t *testing.T) {
 
 // TestHookcoverGolden plants the instrumentation coverage holes — an
 // exported SVM accessor handing out frame bytes with no hook on its
-// call graph (both planes), one visible only to metrics, one visible
-// only to the detector — and asserts the analyzer flags each missing
-// plane while dual-hooked accessors, transitive hooks, synchronization
-// primitives (RaceAcquire instead of raceRead), ignored diagnostics
-// dumps, and frame-free methods all stay legal.
+// call graph, one reporting only a fault event, one reaching a
+// same-named Acquire on another type — and asserts the analyzer flags
+// each while hooked accessors, transitive hooks, synchronization
+// primitives (syncWrite and MarkSync instead of access), ignored
+// diagnostics dumps, and frame-free methods all stay legal.
 func TestHookcoverGolden(t *testing.T) {
 	runGolden(t, []*analysis.Analyzer{HookcoverAnalyzer}, "hkc/internal/core")
 }

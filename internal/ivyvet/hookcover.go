@@ -7,26 +7,25 @@ import (
 	"repro/internal/ivyvet/callgraph"
 )
 
-// HookcoverAnalyzer generalizes PR 5's racehook check to both
-// instrumentation planes: every shared-memory access entry point in
-// internal/core — an exported SVM method taking a Ctx that reaches the
-// frameFor* page-frame tails — must reach BOTH a drace race-detector
-// hook and a metrics prof hook. The detector only sees the accesses
-// the entry points report, and the ivyprof metrics plane only counts
-// the faults the same paths record; an accessor on just one plane
-// makes the other silently wrong, which is worse than missing — PR 6's
-// coherence metrics and PR 5's race verdicts would quietly disagree
-// about the same run. Deliberate single-plane accessors carry a
-// reasoned //ivyvet:ignore.
+// HookcoverAnalyzer checks that the instrumentation plane sees every
+// access: each shared-memory access entry point in internal/core — an
+// exported SVM method taking a Ctx that reaches the frameFor*
+// page-frame tails — must reach one of the Observer's access or sync
+// hooks. Those are what the race detector checks and what the
+// profiler's dirty-word maps record; an accessor that skips them makes
+// both silently wrong about the same run. A fault or protocol event
+// (Observer.begin and the like) does not count: it says a page moved,
+// not which words a process touched. Deliberate unobserved accessors
+// carry a reasoned //ivyvet:ignore.
 //
 // The reachability runs on the whole-program call graph restricted to
-// internal/core nodes (the frame tails and both hook families are
-// core-internal wrappers), so closures and helpers added between an
-// entry point and its tail keep the coverage visible.
+// internal/core nodes (the frame tails and the Observer are
+// core-internal), so closures and helpers added between an entry point
+// and its tail keep the coverage visible.
 var HookcoverAnalyzer = &analysis.Analyzer{
 	Name: "hookcover",
-	Doc: "flag exported SVM accessors in internal/core that reach page frames without both a drace hook " +
-		"and a metrics prof hook; the race-detection and profiling planes must see every access path",
+	Doc: "flag exported SVM accessors in internal/core that reach page frames without an Observer access or sync hook; " +
+		"the instrumentation plane (race detection, profiling) must see every access path",
 	Run: runHookcover,
 }
 
@@ -39,27 +38,14 @@ var hookcoverTouchers = map[string]bool{
 	"frameForWriteChecked": true,
 }
 
-// hookcoverRaceHooks are the drace entry points; reaching any of them
-// satisfies the detector plane.
-var hookcoverRaceHooks = map[string]bool{
-	"raceRead":     true,
-	"raceWrite":    true,
-	"RaceAcquire":  true,
-	"RaceRelease":  true,
-	"RaceMarkSync": true,
-}
-
-// hookcoverProfHooks are the metrics-plane recorders; reaching any of
-// them satisfies the profiling plane.
-var hookcoverProfHooks = map[string]bool{
-	"profReadFault":  true,
-	"profWriteFault": true,
-	"profUpgrade":    true,
-	"profInvalSent":  true,
-	"profInvalRecv":  true,
-	"profCopysetAdd": true,
-	"profTransfer":   true,
-	"profWrite":      true,
+// hookcoverHooks are the Observer methods that report an access or a
+// synchronization edge; reaching any of them satisfies the plane.
+var hookcoverHooks = map[string]bool{
+	"access":    true,
+	"syncWrite": true,
+	"Acquire":   true,
+	"Release":   true,
+	"MarkSync":  true,
 }
 
 func runHookcover(pass *analysis.Pass) (interface{}, error) {
@@ -77,27 +63,19 @@ func runHookcover(pass *analysis.Pass) (interface{}, error) {
 	walk := callgraph.Walk{Skip: func(n *callgraph.Node) bool {
 		return simWorldComponent(n.PathNoTest()) != "core"
 	}}
-	reaches := func(n *callgraph.Node, names map[string]bool) bool {
-		if names[n.Fn.Name()] {
-			return true
-		}
-		return g.Reaches(n, func(m *callgraph.Node) bool { return names[m.Fn.Name()] }, walk)
-	}
+	touches := func(m *callgraph.Node) bool { return hookcoverTouchers[m.Fn.Name()] }
+	hooks := func(m *callgraph.Node) bool { return m.RecvName() == "Observer" && hookcoverHooks[m.Fn.Name()] }
 
 	for _, n := range g.Nodes() {
 		if n.Fn.Pkg() != pass.Pkg || !isSVMAccessEntryPoint(n.Fn, n) {
 			continue
 		}
-		if !reaches(n, hookcoverTouchers) {
+		if !touches(n) && !g.Reaches(n, touches, walk) {
 			continue // no frame data flows out of this method
 		}
-		if !reaches(n, hookcoverRaceHooks) {
+		if !g.Reaches(n, hooks, walk) {
 			pass.Reportf(n.Decl.Name.Pos(),
-				"%s reaches page frames without a drace hook: shared-memory access entry points must call raceRead/raceWrite (or RaceAcquire/RaceRelease/RaceMarkSync) on the checked tail so the race detector sees every access", n.Fn.Name())
-		}
-		if !reaches(n, hookcoverProfHooks) {
-			pass.Reportf(n.Decl.Name.Pos(),
-				"%s reaches page frames without a metrics prof hook: access paths must record their fault/traffic class (profReadFault, profWriteFault, profUpgrade, ...) so the ivyprof plane counts every access the detector sees", n.Fn.Name())
+				"%s reaches page frames without an observer hook: shared-memory access entry points must report each access on the checked tail (Observer.access, or syncWrite/Acquire/Release/MarkSync for synchronization) so the race detector and the profiler see it", n.Fn.Name())
 		}
 	}
 	return nil, nil

@@ -1,9 +1,9 @@
 // Package core is hookcover-analyzer golden input: a miniature of the
 // simulator's SVM accessor shapes. PeekWord below is the bug the
 // analyzer exists for — a new exported accessor that hands out frame
-// bytes without reporting the access to either instrumentation plane —
-// and CountedPeek / UnprofiledRead are the subtler halves, on one
-// plane but not the other.
+// bytes without reporting the access to the instrumentation plane —
+// and FaultOnlyPeek is the subtler half: it reports a fault event, but
+// no access.
 package core
 
 type Ctx interface {
@@ -12,10 +12,11 @@ type Ctx interface {
 
 type SVM struct {
 	frames [][]byte
-	rd     *detector
+	obs    *Observer
 }
 
-type detector struct{}
+// Observer is the instrumentation plane.
+type Observer struct{}
 
 // frameForRead is the frame-returning tail every accessor funnels
 // through.
@@ -24,78 +25,82 @@ func (s *SVM) frameForRead(ctx Ctx, p int) []byte { return s.frames[p] }
 // frameForWrite is the write-mode tail.
 func (s *SVM) frameForWrite(ctx Ctx, p int) []byte { return s.frames[p] }
 
-// raceRead reports a read to the detector.
-func (s *SVM) raceRead(ctx Ctx, addr uint64, n uint64) {}
+// access reports a checked access to the plane.
+func (o *Observer) access(ctx Ctx, addr, n uint64, write bool) {}
 
-// raceWrite reports a write to the detector.
-func (s *SVM) raceWrite(ctx Ctx, addr uint64, n uint64) {}
+// syncWrite reports a test-and-set store and its sync edge.
+func (o *Observer) syncWrite(ctx Ctx, addr uint64, acquire bool) {}
 
-// RaceAcquire records a lock-acquire edge.
-func (s *SVM) RaceAcquire(ctx Ctx, addr uint64) {}
+// MarkSync exempts detector-internal metadata.
+func (o *Observer) MarkSync(addr, n uint64) {}
 
-// RaceMarkSync exempts detector-internal metadata.
-func (s *SVM) RaceMarkSync(addr, n uint64) {}
+// begin reports a fault event: a page moved, not which words were
+// touched.
+func (o *Observer) begin(p int) {}
 
-// profReadFault records a read fault on the metrics plane.
-func (s *SVM) profReadFault(p int) {}
+// Acquire is a same-named method on another type (the node CPU's): it
+// is not an observer hook.
+type Resource struct{}
 
-// profUpgrade records a write-upgrade fault on the metrics plane.
-func (s *SVM) profUpgrade(p int) {}
+func (r *Resource) Acquire() {}
 
-// ReadWord is a clean accessor: it touches a frame and reports on both
-// planes.
+// ReadWord is a clean accessor: it touches a frame and reports the
+// access.
 func (s *SVM) ReadWord(ctx Ctx, addr uint64) byte {
 	frame := s.frameForRead(ctx, int(addr))
-	s.raceRead(ctx, addr, 1)
-	s.profReadFault(int(addr))
+	s.obs.access(ctx, addr, 1, false)
 	return frame[0]
 }
 
-// ReadWordIndirect reaches the frame and both hooks transitively —
-// also clean.
+// ReadWordIndirect reaches the frame and the hook transitively — also
+// clean.
 func (s *SVM) ReadWordIndirect(ctx Ctx, addr uint64) byte {
 	return s.ReadWord(ctx, addr)
 }
 
 // PeekWord hands out frame bytes with no hook anywhere on its call
-// graph — the coverage hole hookcover must flag on both planes.
-func (s *SVM) PeekWord(ctx Ctx, addr uint64) byte { // want `PeekWord reaches page frames without a drace hook` `PeekWord reaches page frames without a metrics prof hook`
+// graph — the coverage hole hookcover must flag.
+func (s *SVM) PeekWord(ctx Ctx, addr uint64) byte { // want `PeekWord reaches page frames without an observer hook`
 	return s.frameForRead(ctx, int(addr))[0]
 }
 
-// CountedPeek is on the metrics plane but invisible to the race
-// detector — the post-PR 5 regression shape.
-func (s *SVM) CountedPeek(ctx Ctx, addr uint64) byte { // want `CountedPeek reaches page frames without a drace hook`
-	s.profReadFault(int(addr))
+// FaultOnlyPeek reports a fault event but not the access: the race
+// detector and the dirty-word map would both miss it.
+func (s *SVM) FaultOnlyPeek(ctx Ctx, addr uint64) byte { // want `FaultOnlyPeek reaches page frames without an observer hook`
+	s.obs.begin(int(addr))
 	return s.frameForRead(ctx, int(addr))[0]
 }
 
-// UnprofiledRead reports to the detector but never records a fault —
-// the ivyprof plane would undercount exactly these accesses.
-func (s *SVM) UnprofiledRead(ctx Ctx, addr uint64) byte { // want `UnprofiledRead reaches page frames without a metrics prof hook`
-	s.raceRead(ctx, addr, 1)
+// LockedPeek takes a CPU-style Acquire, which is not the observer's.
+func (s *SVM) LockedPeek(ctx Ctx, r *Resource, addr uint64) byte { // want `LockedPeek reaches page frames without an observer hook`
+	r.Acquire()
 	return s.frameForRead(ctx, int(addr))[0]
 }
 
-// TestAndSet never calls raceRead/raceWrite but records the acquire
-// edge and the upgrade fault — synchronization primitives are hooked
-// differently, not unhooked.
+// TestAndSet reports no plain access but the sync store and its
+// acquire edge — synchronization primitives are hooked differently,
+// not unhooked.
 func (s *SVM) TestAndSet(ctx Ctx, addr uint64) bool {
 	frame := s.frameForWrite(ctx, int(addr))
 	if frame[0] != 0 {
 		return false
 	}
 	frame[0] = 1
-	s.RaceAcquire(ctx, addr)
-	s.profUpgrade(int(addr))
+	s.obs.syncWrite(ctx, addr, true)
 	return true
 }
 
-// DebugDump deliberately bypasses both planes (diagnostics must not
-// perturb epochs or counters); the reasoned ignore documents that at
-// the site.
+// InitLock marks its lock byte as sync state before touching it.
+func (s *SVM) InitLock(ctx Ctx, addr uint64) {
+	s.obs.MarkSync(addr, 1)
+	s.frameForWrite(ctx, int(addr))[0] = 0
+}
+
+// DebugDump deliberately bypasses the plane (diagnostics must not
+// perturb detector epochs or dirty maps); the reasoned ignore documents
+// that at the site.
 //
-//ivyvet:ignore diagnostic dump must not perturb detector epochs or fault counters
+//ivyvet:ignore diagnostic dump must not perturb detector epochs or dirty-word maps
 func (s *SVM) DebugDump(ctx Ctx, addr uint64) byte {
 	return s.frameForRead(ctx, int(addr))[0]
 }

@@ -136,7 +136,7 @@ func (p *Proc) ClearFlag(addr uint64) { p.inner.Node().SVM().Clear(p.inner, addr
 // idiom (a monotonic bound read without its lock, a statistics cell) and
 // must not be reported. No-op with the detector off. Use sparingly — it
 // silences real races on those words too.
-func (p *Proc) MarkAtomic(addr, n uint64) { p.inner.Node().SVM().RaceMarkSync(addr, n) }
+func (p *Proc) MarkAtomic(addr, n uint64) { p.inner.Node().SVM().Observer().MarkSync(addr, n) }
 
 // LabelRegion names the address range [addr, addr+size) for the
 // coherence profiler, so ivyprof reports attribute pages to application
@@ -357,7 +357,7 @@ func (p *Proc) NewLock() *Lock {
 	// The lock byte is synchronization state; Acquire's plain-read probe
 	// precedes the first test-and-set (which would otherwise be what
 	// marks it), so mark it eagerly.
-	p.inner.Node().SVM().RaceMarkSync(addr, 1)
+	p.inner.Node().SVM().Observer().MarkSync(addr, 1)
 	return &Lock{addr: addr}
 }
 

@@ -17,10 +17,17 @@ var updateGolden = flag.Bool("update-prof", false, "rewrite the profiling golden
 // profWorkload is a small fixed workload with genuine page ping-pong:
 // four processes take turns incrementing counters that share pages, so
 // ownership migrates and the dirty-word maps see partial writes.
-func profWorkload(cfg ivy.Config) (*ivy.Cluster, error) {
+func profWorkload(cfg ivy.Config) (*ivy.Cluster, error) { return armedProfWorkload(cfg, nil) }
+
+// armedProfWorkload is profWorkload with arm (when non-nil) called on
+// the cluster before Run, to install instruments Config cannot.
+func armedProfWorkload(cfg ivy.Config, arm func(*ivy.Cluster)) (*ivy.Cluster, error) {
 	cfg.Processors = 4
 	cfg.PageSize = 256
 	c := ivy.New(cfg)
+	if arm != nil {
+		arm(c)
+	}
 	err := c.Run(func(p *ivy.Proc) {
 		const slots = 8
 		arr := p.MustMalloc(8 * slots)
