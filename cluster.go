@@ -36,7 +36,7 @@ type Cluster struct {
 	// node's transport view: every entry aliases nw under sim, and is
 	// the node's own tcpnet.Net under TCP loopback. Code that works on
 	// either backend goes through tps / the ring.Transport interface;
-	// sim-only planes (loss, chaos, tracing) keep the concrete nw.
+	// sim-only planes (chaos, tracing) keep the concrete nw.
 	nw  *ring.Network
 	lb  *tcpnet.Loopback
 	tps []ring.Transport
@@ -93,15 +93,12 @@ func New(cfg Config) *Cluster {
 	switch cfg.Transport {
 	case "", TransportSim:
 		c.nw = ring.New(eng, *cfg.Costs, cfg.Processors)
-		if cfg.LossProbability > 0 {
-			c.nw.SetLossProbability(cfg.LossProbability)
-		}
 		for i := range c.tps {
 			c.tps[i] = c.nw
 		}
 	case TransportTCPLoopback:
-		if cfg.LossProbability > 0 || cfg.Chaos != nil || cfg.Trace != nil {
-			panic("ivy: loss injection, chaos, and tracing are simulator planes; not available over " + cfg.Transport)
+		if cfg.Chaos != nil || cfg.Trace != nil {
+			panic("ivy: chaos and tracing are simulator planes; not available over " + cfg.Transport)
 		}
 		lb, err := tcpnet.NewLoopback(eng, cfg.Processors, cfg.TimeScale, tcpnet.Options{})
 		if err != nil {
@@ -185,7 +182,6 @@ func New(cfg Config) *Cluster {
 		// The process layer adds the fork/join edges and the vector
 		// clocks carried by notify and migration messages.
 		c.inst.Race = drace.New(c.Base(), cfg.PageSize, now)
-		c.procs.SetRaceDetector(c.inst.Race)
 	}
 	if cfg.Profile {
 		// One collector serves the whole cluster: page indices are
@@ -208,10 +204,13 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// instrument installs the cluster's instrumentation plane on every
-// node; each subscriber is armed by setting it in c.inst and calling
-// this.
+// instrument installs the cluster's instrumentation plane on the ring
+// and every node (process layer included); each subscriber is armed by
+// setting it in c.inst and calling this.
 func (c *Cluster) instrument() {
+	if c.nw != nil {
+		c.nw.SetTracer(c.inst.Spans)
+	}
 	for _, svm := range c.svms {
 		svm.Instrument(c.inst)
 	}
@@ -383,11 +382,6 @@ func (c *Cluster) StartTrace(w io.Writer, opts TraceOpts) {
 	c.inst.Spans = tr
 	c.traceW = w
 	c.sampleIvl = opts.SampleInterval
-	c.nw.SetTracer(tr)
-	for _, svm := range c.svms {
-		svm.Endpoint().SetTracer(tr)
-	}
-	c.procs.SetTraceCollector(tr)
 	c.instrument()
 }
 

@@ -1,6 +1,8 @@
 // Command ivyrun executes one benchmark program on a configurable
 // cluster and prints the elapsed virtual time with a statistics summary —
-// the quick way to poke at a single configuration.
+// the quick way to poke at a single configuration. -loss arms the chaos
+// fault plane with independent packet loss only (ChaosOpts.LossProbability);
+// at the default 0 no fault plane is installed.
 //
 // Usage:
 //
@@ -32,7 +34,7 @@ func main() {
 	memPages := flag.Int("mempages", 0, "physical frames per node (0 = unconstrained)")
 	algorithm := flag.String("algorithm", "dynamic", "manager: dynamic, centralized, fixed, broadcast, basic")
 	coherence := cli.CoherenceFlag()
-	loss := flag.Float64("loss", 0, "packet loss probability (exercises retransmission)")
+	loss := flag.Float64("loss", 0, "packet loss probability, injected by the chaos plane (exercises retransmission)")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	sysmode := flag.Bool("sysmode", false, "use the projected system-mode cost model (paper's conclusion)")
 	size := flag.Int("n", 0, "problem size override (0 = app default)")
@@ -54,15 +56,19 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := ivy.Config{
-		Processors:      *procs,
-		PageSize:        *pageSize,
-		MemoryPages:     *memPages,
-		Algorithm:       alg,
-		Coherence:       coh,
-		LossProbability: *loss,
-		Seed:            *seed,
-		DRace:           *drace,
-		Profile:         *profile,
+		Processors:  *procs,
+		PageSize:    *pageSize,
+		MemoryPages: *memPages,
+		Algorithm:   alg,
+		Coherence:   coh,
+		Seed:        *seed,
+		DRace:       *drace,
+		Profile:     *profile,
+	}
+	if *loss > 0 {
+		// An armed injector draws per delivery attempt even with every
+		// probability zero, so a fault-free run installs none.
+		cfg.Chaos = &ivy.ChaosOpts{LossProbability: *loss}
 	}
 	if *sysmode {
 		costs := ivy.SystemMode1988()

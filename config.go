@@ -78,7 +78,7 @@ type TraceConfig struct {
 // Transport backends for Config.Transport.
 const (
 	// TransportSim (the default) is the deterministic simulated token
-	// ring: virtual time, seeded loss/chaos injection, bit-for-bit
+	// ring: virtual time, seeded chaos injection, bit-for-bit
 	// reproducible runs.
 	TransportSim = "sim"
 
@@ -86,8 +86,8 @@ const (
 	// TCP connections on 127.0.0.1: every frame crosses actual sockets,
 	// one listener per node, all inside this process and one engine.
 	// The engine is host-paced (see internal/tcpnet.Driver), so runs
-	// are no longer deterministic; the simulator-only planes — loss
-	// injection, chaos, span tracing — are rejected. This is the
+	// are no longer deterministic; the simulator-only planes — chaos
+	// and span tracing — are rejected. This is the
 	// cross-transport conformance configuration; fully separate
 	// processes use cmd/ivynode instead.
 	TransportTCPLoopback = "tcp-loopback"
@@ -159,14 +159,11 @@ type Config struct {
 	// Seed drives all randomness; runs with equal seeds are identical.
 	Seed int64
 
-	// LossProbability injects per-delivery packet loss (default 0),
-	// exercising the retransmission protocol.
-	LossProbability float64
-
-	// Chaos, when non-nil, installs the fault plane: duplication, delay
-	// jitter, independent and burst loss, and crash/restart schedules,
-	// all drawn from Seed so faulty runs replay bit-for-bit. Nil — the
-	// default — costs nothing at run time. See internal/chaos.
+	// Chaos, when non-nil, installs the fault plane — the simulator's
+	// only fault injector: duplication, delay jitter, independent and
+	// burst loss, and crash/restart schedules, all drawn from Seed so
+	// faulty runs replay bit-for-bit. Nil — the default — costs nothing
+	// at run time. See internal/chaos.
 	Chaos *ChaosOpts
 
 	// BroadcastInvalidation switches write-fault invalidation to the

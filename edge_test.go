@@ -231,7 +231,7 @@ func TestBroadcastInvalidationConfig(t *testing.T) {
 }
 
 func TestLossyClusterEndToEnd(t *testing.T) {
-	c := New(Config{Seed: 5, Processors: 3, LossProbability: 0.1})
+	c := New(Config{Seed: 5, Processors: 3, Chaos: &ChaosOpts{LossProbability: 0.1}})
 	var sum uint64
 	err := c.Run(func(p *Proc) {
 		data := p.MustMalloc(3 * 1024)
@@ -256,6 +256,14 @@ func TestLossyClusterEndToEnd(t *testing.T) {
 	}
 	if c.Snapshot().Retransmissions == 0 {
 		t.Fatal("no retransmissions at 10% loss")
+	}
+	// The ring counts every drop the chaos plane injects, and no other.
+	cs := c.ChaosStats()
+	if got, want := c.NetworkStats().Dropped, cs.Drops+cs.BurstDrops; got != want {
+		t.Fatalf("ring Dropped = %d, chaos Drops+BurstDrops = %d", got, want)
+	}
+	if c.ChaosDigest() == 0 {
+		t.Fatal("chaos digest is 0 with loss injected")
 	}
 }
 

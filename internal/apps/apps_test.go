@@ -420,7 +420,7 @@ func TestSmokeMatrixUnderPressureAndLoss(t *testing.T) {
 	cfg := smallCfg(2)
 	cfg.MemoryPages = 36
 	cfg.SharedPages = 512
-	cfg.LossProbability = 0.05
+	cfg.Chaos = &ivy.ChaosOpts{LossProbability: 0.05}
 	r, err := RunPDE3D(cfg, PDE3DParams{N: 16, Iters: 3, Seed: 11})
 	if err != nil {
 		t.Fatal(err)

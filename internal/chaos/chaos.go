@@ -102,10 +102,28 @@ type Injector struct {
 	digest uint64
 }
 
-// NewInjector builds the fault plane for a ring of n stations.
+// NewInjector builds the fault plane for a ring of n stations. It
+// panics, naming the field, on a probability outside [0,1] (NaN
+// included), a negative amount, or BurstProb without a positive
+// BurstLen.
 func NewInjector(eng *sim.Engine, opts Opts, n int) *Injector {
-	if opts.BurstProb > 0 && opts.BurstLen <= 0 {
-		panic("chaos: BurstProb set without a positive BurstLen")
+	unit := func(p float64) bool { return p >= 0 && p <= 1 } // false for NaN
+	for _, f := range [...]struct {
+		name string
+		ok   bool
+	}{
+		{"DuplicateProb", unit(opts.DuplicateProb)},
+		{"DelayProb", unit(opts.DelayProb)},
+		{"LossProb", unit(opts.LossProb)},
+		{"BurstProb", unit(opts.BurstProb)},
+		{"DuplicateDelay", opts.DuplicateDelay >= 0},
+		{"MaxDelay", opts.MaxDelay >= 0},
+		{"BurstLen", opts.BurstLen > 0 || opts.BurstLen == 0 && opts.BurstProb == 0},
+		{"MaxFaults", opts.MaxFaults >= 0},
+	} {
+		if !f.ok {
+			panic("chaos: " + f.name + " out of range")
+		}
 	}
 	return &Injector{eng: eng, opts: opts, burst: make([]int, n), digest: 14695981039346656037}
 }

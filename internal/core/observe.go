@@ -51,8 +51,8 @@ type PageTracer func(PageEvent)
 
 // Instruments names the subscribers of a node's instrumentation plane;
 // nil ones are off. Pages receives the transitions of page Page, or of
-// every page when AllPages is set; the node's disk shares Spans; Race
-// and Profile are shared by the cluster.
+// every page when AllPages is set; the node's disk and endpoint share
+// Spans; Race and Profile are shared by the cluster.
 type Instruments struct {
 	Pages    PageTracer
 	Page     mmu.PageID
@@ -78,6 +78,7 @@ type Observer struct {
 // Instrument arms in on this node, replacing what was armed before.
 func (s *SVM) Instrument(in Instruments) {
 	s.dsk.SetTracer(in.Spans, int(s.node))
+	s.ep.SetTracer(in.Spans)
 	s.obs = nil
 	if in.Pages != nil || in.Spans != nil || in.Checked() {
 		s.obs = &Observer{Instruments: in, s: s}

@@ -10,8 +10,9 @@ import (
 )
 
 // newRaceRig is newRig with the happens-before race detector armed on
-// every SVM and the process layer (TLBs off, so every access reaches a
-// hooked checked path — the same wiring Config.DRace performs).
+// every SVM's instrumentation plane, which the process layer reads too
+// (TLBs off, so every access reaches a hooked checked path — the same
+// wiring Config.DRace performs).
 func newRaceRig(t *testing.T, n int) (*rig, *drace.Detector) {
 	t.Helper()
 	r := newRig(t, n, 1)
@@ -20,7 +21,6 @@ func newRaceRig(t *testing.T, n int) (*rig, *drace.Detector) {
 		s.Instrument(core.Instruments{Race: d})
 	}
 	r.cluster.SetDisableTLB(true)
-	r.cluster.SetRaceDetector(d)
 	return r, d
 }
 

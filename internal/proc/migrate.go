@@ -278,7 +278,7 @@ func (n *Node) handleMigrate(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 	n.pcbs[p.handle] = &slot{proc: p, state: Ready}
 	n.counted++
 	n.st.Proc.MigrationsIn++
-	if trc := n.cluster.trc; trc != nil {
+	if trc := n.instruments().Spans; trc != nil {
 		// Split the residence span at the node boundary and mark the
 		// arrival so migrations show as track handoffs in the viewer.
 		if p.span != 0 {

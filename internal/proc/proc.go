@@ -17,13 +17,11 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/drace"
 	"repro/internal/model"
 	"repro/internal/remop"
 	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -150,30 +148,24 @@ type Cluster struct {
 	// code", which in IVY is replicated on every node).
 	procs map[uint64]*Process
 
-	trc *trace.Collector
-
-	// race is the cluster's happens-before detector (nil = drace off).
-	// Create forks a detector thread per process, Join closes the edge,
-	// and the eventcount-notify/migration handlers carry vector clocks
-	// across nodes.
-	race *drace.Detector
-
 	// disableTLB makes Create hand out nil TLBs, forcing every access
 	// through the checked path (the property test's control arm).
 	disableTLB bool
 }
 
-// SetTraceCollector installs the span collector (nil = off): process
-// lifetimes become spans on their home node's track, migrations split
-// the span and mark the arrival.
-func (c *Cluster) SetTraceCollector(t *trace.Collector) { c.trc = t }
-
 // SetDisableTLB turns process software TLBs off (before any Create).
 func (c *Cluster) SetDisableTLB(v bool) { c.disableTLB = v }
 
-// SetRaceDetector arms happens-before race tracking on process
-// lifecycle events (before any Create).
-func (c *Cluster) SetRaceDetector(d *drace.Detector) { c.race = d }
+// instruments returns the subscribers armed on this node's
+// instrumentation plane (zero when none is): Spans records process
+// lifetimes, split at each migration; Race gets the fork/join edges.
+// Arm before any Create.
+func (n *Node) instruments() core.Instruments {
+	if o := n.svm.Observer(); o != nil {
+		return o.Instruments
+	}
+	return core.Instruments{}
+}
 
 // NewCluster creates the process-management layer over the given SVMs.
 // Entry i of svms/eps/cpus/sts belongs to node i.

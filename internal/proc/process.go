@@ -99,7 +99,7 @@ func (n *Node) Create(body Body, opts CreateOpts) *Process {
 	if p.name == "" {
 		p.name = fmt.Sprintf("proc%d", p.handle)
 	}
-	if d := n.cluster.race; d != nil {
+	if d := n.instruments().Race; d != nil {
 		// Fork edge: everything the creator did so far happens-before
 		// everything the child does. A creator outside race tracking (the
 		// test harness, the facade bootstrap) forks from the root thread.
@@ -109,7 +109,7 @@ func (n *Node) Create(body Body, opts CreateOpts) *Process {
 	n.pcbs[p.handle] = &slot{proc: p, state: Ready}
 	n.counted++
 	n.st.Proc.Created++
-	if trc := n.cluster.trc; trc != nil {
+	if trc := n.instruments().Spans; trc != nil {
 		p.span = trc.Begin(int(n.id), trace.PhaseProcess, 0, trace.NoPage, p.name)
 	}
 	n.enqueue(p)
@@ -197,7 +197,7 @@ func (p *Process) start() {
 	p.started = true
 	p.fiber = p.node.eng.Go(p.name, func(f *sim.Fiber) {
 		p.fiber = f
-		if d := p.node.cluster.race; d != nil && p.race != nil {
+		if d := p.node.instruments().Race; d != nil && p.race != nil {
 			d.Bind(f, p.race)
 		}
 		p.body(p)
@@ -228,7 +228,7 @@ func (p *Process) terminate() {
 		w.Unpark()
 	}
 	p.doneWaiters = nil
-	if trc := n.cluster.trc; trc != nil && p.span != 0 {
+	if trc := n.instruments().Spans; trc != nil && p.span != 0 {
 		trc.End(p.span)
 		p.span = 0
 	}
@@ -243,7 +243,7 @@ func (p *Process) Join(f *sim.Fiber) {
 		p.doneWaiters = append(p.doneWaiters, f)
 		f.Park("joining " + p.name)
 	}
-	if d := p.node.cluster.race; d != nil {
+	if d := p.node.instruments().Race; d != nil {
 		// Join edge: everything the terminated process did happens-before
 		// everything the joiner does next. Joiners outside race tracking
 		// (the run watcher) resolve to a nil thread and are skipped.

@@ -19,7 +19,7 @@ func TestGiveUpPropagatesErrCallFailed(t *testing.T) {
 	r.eps[1].SetHandler(wire.KindPing, func(ctx *Ctx, env *wire.Envelope) wire.Msg {
 		return &wire.Ping{}
 	})
-	r.nw.SetLossProbability(1.0)
+	r.nw.SetInjector(lossy{r.eng, 1.0})
 	var err error
 	r.eng.Go("caller", func(f *sim.Fiber) {
 		_, err = r.eps[0].Call(f, 1, &wire.Ping{})

@@ -31,6 +31,19 @@ func newRig(t *testing.T, n int, seed int64) *rig {
 	return r
 }
 
+// lossy is a ring.Injector that drops each delivery attempt
+// independently with probability p, drawing once per attempt from the
+// engine's seeded source. It stands in for the chaos plane, which
+// imports this package.
+type lossy struct {
+	eng *sim.Engine
+	p   float64
+}
+
+func (l lossy) Deliver(src, dst ring.NodeID, broadcast bool, size int) ring.Fault {
+	return ring.Fault{Drop: l.eng.Rand().Float64() < l.p}
+}
+
 // run drives the simulation with a horizon so periodic retransmission
 // timers don't keep the event queue alive forever.
 func (r *rig) run(t *testing.T, horizon time.Duration) {
@@ -221,7 +234,7 @@ func TestBroadcastNoReply(t *testing.T) {
 
 func TestRetransmissionRecoversFromLoss(t *testing.T) {
 	r := newRig(t, 2, 7)
-	r.nw.SetLossProbability(0.4)
+	r.nw.SetInjector(lossy{r.eng, 0.4})
 	served := 0
 	r.eps[1].SetHandler(wire.KindPing, func(ctx *Ctx, env *wire.Envelope) wire.Msg {
 		served++
@@ -259,9 +272,9 @@ func TestDuplicateRequestAnsweredFromCacheWithoutReexecution(t *testing.T) {
 		return &wire.Ping{Payload: []byte("once")}
 	})
 	// Lossy window: drop everything for the first 3 seconds of virtual
-	// time by toggling loss probability via an event.
-	r.nw.SetLossProbability(0.9)
-	r.eng.Schedule(3*time.Second, func() { r.nw.SetLossProbability(0) })
+	// time, then remove the injector from an event.
+	r.nw.SetInjector(lossy{r.eng, 0.9})
+	r.eng.Schedule(3*time.Second, func() { r.nw.SetInjector(nil) })
 	done := false
 	r.eng.Go("caller", func(f *sim.Fiber) {
 		if _, err := r.eps[0].Call(f, 1, &wire.Ping{}); err != nil {
@@ -288,8 +301,8 @@ func TestBroadcastAllRetransmitsOnlyToMissingNodes(t *testing.T) {
 			return &wire.InvalidateAck{}
 		})
 	}
-	r.nw.SetLossProbability(0.5)
-	r.eng.Schedule(5*time.Second, func() { r.nw.SetLossProbability(0) })
+	r.nw.SetInjector(lossy{r.eng, 0.5})
+	r.eng.Schedule(5*time.Second, func() { r.nw.SetInjector(nil) })
 	ok := false
 	r.eng.Go("caller", func(f *sim.Fiber) {
 		replies, err := r.eps[0].BroadcastAll(f, &wire.InvalidateReq{Page: 1})
@@ -382,7 +395,7 @@ func TestMissingHandlerPanics(t *testing.T) {
 func TestDeterministicUnderLoss(t *testing.T) {
 	run := func() (Stats, Stats) {
 		r := newRig(t, 2, 123)
-		r.nw.SetLossProbability(0.3)
+		r.nw.SetInjector(lossy{r.eng, 0.3})
 		r.eps[1].SetHandler(wire.KindPing, func(ctx *Ctx, env *wire.Envelope) wire.Msg {
 			return &wire.Ping{}
 		})
@@ -440,7 +453,7 @@ func TestCallGivesUpAfterMaxRetries(t *testing.T) {
 	r.eps[1].SetHandler(wire.KindPing, func(ctx *Ctx, env *wire.Envelope) wire.Msg {
 		return &wire.Ping{}
 	})
-	r.nw.SetLossProbability(1.0)
+	r.nw.SetInjector(lossy{r.eng, 1.0})
 	var err error
 	doneAt := sim.Time(0)
 	r.eng.Go("caller", func(f *sim.Fiber) {
@@ -463,7 +476,7 @@ func TestBroadcastAllGivesUpUnderBlackout(t *testing.T) {
 			return &wire.InvalidateAck{}
 		})
 	}
-	r.nw.SetLossProbability(1.0)
+	r.nw.SetInjector(lossy{r.eng, 1.0})
 	var err error
 	r.eng.Go("caller", func(f *sim.Fiber) {
 		_, err = r.eps[0].BroadcastAll(f, &wire.InvalidateReq{})
@@ -483,8 +496,8 @@ func TestCallRedirectSurvivesUselessLocator(t *testing.T) {
 		served++
 		return &wire.Ping{}
 	})
-	r.nw.SetLossProbability(1.0)
-	r.eng.Schedule(5*time.Second, func() { r.nw.SetLossProbability(0) })
+	r.nw.SetInjector(lossy{r.eng, 1.0})
+	r.eng.Schedule(5*time.Second, func() { r.nw.SetInjector(nil) })
 	locates := 0
 	var err error
 	r.eng.Go("caller", func(f *sim.Fiber) {

@@ -86,33 +86,6 @@ func TestBroadcastReachesAllButSource(t *testing.T) {
 	}
 }
 
-func TestLossInjectionDropsDeterministically(t *testing.T) {
-	run := func() Stats {
-		eng := sim.New(99)
-		nw := New(eng, testCosts(), 2)
-		nw.Attach(0, func(p *Packet) {})
-		nw.Attach(1, func(p *Packet) {})
-		nw.SetLossProbability(0.5)
-		for i := 0; i < 200; i++ {
-			nw.Send(&Packet{Src: 0, Dst: 1, Payload: []byte{byte(i)}})
-		}
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return nw.Stats()
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("same seed produced different loss patterns: %+v vs %+v", a, b)
-	}
-	if a.Dropped == 0 || a.Delivered == 0 {
-		t.Fatalf("expected both drops and deliveries at p=0.5: %+v", a)
-	}
-	if a.Dropped+a.Delivered != 200 {
-		t.Fatalf("drops+deliveries = %d, want 200", a.Dropped+a.Delivered)
-	}
-}
-
 func TestSelfAddressedRingsBack(t *testing.T) {
 	// A frame addressed to its own sender circulates the ring and comes
 	// back, paying full wire time — the remote-operation layer relies on
