@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/proc"
 	"repro/internal/ring"
+	"repro/internal/sim"
 )
 
 const (
@@ -153,7 +154,7 @@ func (e *EC) Wait(p *proc.Process, target int64) {
 		s.WriteU32(p, rec+16, uint32(p.Node().ID()))
 		s.WriteU32(p, e.addr+offNWaiters, uint32(n+1))
 		e.unlock(p)
-		p.Suspend(fmt.Sprintf("ec wait %#x for %d", e.addr, target))
+		p.Suspend(sim.Labelf("ec wait %#x for %d", nil, int64(e.addr), target))
 		// Re-check: Advance removed our record before waking us, but a
 		// raced token wake must loop.
 	}

@@ -128,7 +128,7 @@ type Table struct {
 
 type pageLock struct {
 	held    bool
-	holder  string // diagnostic: who acquired it
+	holder  *sim.Fiber // diagnostic: who acquired it (nil: TryLock)
 	waiters []*sim.Fiber
 }
 
@@ -177,12 +177,12 @@ func (t *Table) Lock(f *sim.Fiber, p PageID) {
 	}
 	if !l.held {
 		l.held = true
-		l.holder = f.Name()
+		l.holder = f
 		return
 	}
 	l.waiters = append(l.waiters, f)
-	f.Park(fmt.Sprintf("page %d lock on node %d", p, t.node))
-	l.holder = f.Name() // the lock was handed to us on wake
+	f.ParkFor(sim.Labelf("page %d lock on node %d", nil, int64(p), int64(t.node)))
+	l.holder = f // the lock was handed to us on wake
 }
 
 // TryLock acquires the lock only if free.
@@ -196,7 +196,7 @@ func (t *Table) TryLock(p PageID) bool {
 		return false
 	}
 	l.held = true
-	l.holder = "trylock"
+	l.holder = nil
 	return true
 }
 
@@ -232,7 +232,10 @@ func (t *Table) LockHolder(p PageID) string {
 	if l == nil || !l.held {
 		return ""
 	}
-	return l.holder
+	if l.holder == nil {
+		return "trylock"
+	}
+	return l.holder.Name()
 }
 
 // OwnedPages returns the pages this node currently owns, ascending.

@@ -56,7 +56,7 @@ func (o *OwnerTable) Lock(f *sim.Fiber, p PageID) {
 		return
 	}
 	l.waiters = append(l.waiters, f)
-	f.Park(fmt.Sprintf("manager lock page %d on node %d", p, o.node))
+	f.ParkFor(sim.Labelf("manager lock page %d on node %d", nil, int64(p), int64(o.node)))
 }
 
 // Unlock releases the transfer lock, waking the next waiter FIFO.

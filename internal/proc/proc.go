@@ -282,7 +282,7 @@ func (n *Node) wakeNull() {
 // (The outgoing-channel retransmission check the paper also assigns to
 // the null process is modelled by the endpoint's periodic timer.)
 func (n *Node) startNull() {
-	n.nullFiber = n.eng.Go(fmt.Sprintf("null%d", n.id), func(f *sim.Fiber) {
+	n.nullFiber = n.eng.GoNamed(sim.Labelf("null%d", nil, int64(n.id)), func(f *sim.Fiber) {
 		for !n.stopped {
 			if n.current != nil || len(n.ready) > 0 {
 				n.nullParked = true

@@ -117,7 +117,7 @@ func TestSuspendResume(t *testing.T) {
 	var target *Process
 	target = n.Create(func(p *Process) {
 		phase = append(phase, "before")
-		p.Suspend("test")
+		p.Suspend(sim.Text("test"))
 		phase = append(phase, "after")
 	}, CreateOpts{Name: "sleeper"})
 	n.Create(func(p *Process) {
@@ -136,7 +136,7 @@ func TestRemoteResume(t *testing.T) {
 	var target *Process
 	done := false
 	target = r.cluster.Node(0).Create(func(p *Process) {
-		p.Suspend("awaiting remote resume")
+		p.Suspend(sim.Text("awaiting remote resume"))
 		done = true
 	}, CreateOpts{Name: "sleeper"})
 	r.cluster.Node(1).Create(func(p *Process) {
@@ -158,7 +158,7 @@ func TestRacedResumeIsNotLost(t *testing.T) {
 	var target *Process
 	target = n.Create(func(p *Process) {
 		p.Fiber().Sleep(20 * time.Millisecond) // resume lands during this
-		p.Suspend("should consume token")
+		p.Suspend(sim.Text("should consume token"))
 		completed = true
 	}, CreateOpts{Name: "t"})
 	r.eng.Schedule(10*time.Millisecond, func() {

@@ -241,7 +241,7 @@ func (p *Process) terminate() {
 func (p *Process) Join(f *sim.Fiber) {
 	if p.state != Terminated {
 		p.doneWaiters = append(p.doneWaiters, f)
-		f.Park("joining " + p.name)
+		f.ParkFor(sim.Textf("joining %s", p.name))
 	}
 	if d := p.node.instruments().Race; d != nil {
 		// Join edge: everything the terminated process did happens-before
@@ -254,7 +254,7 @@ func (p *Process) Join(f *sim.Fiber) {
 // Suspend blocks the process until Resume. The node dispatches the next
 // ready process meanwhile — a voluntary context switch, unlike a page
 // fault, during which the paper's system runs nothing else.
-func (p *Process) Suspend(reason string) {
+func (p *Process) Suspend(why sim.Label) {
 	if p.node.current != p {
 		panic("proc: Suspend called by a process that is not running")
 	}
@@ -276,7 +276,7 @@ func (p *Process) Suspend(reason string) {
 	p.state = Suspended
 	n.current = nil
 	n.dispatch()
-	p.fiber.Park(reason)
+	p.fiber.ParkFor(why)
 	// Resumed: the dispatcher made us current again; p.node may have
 	// changed if we were migrated while suspended is impossible (only
 	// ready processes migrate), but the wake may happen on a new node

@@ -650,7 +650,7 @@ const rebindStreak = 2
 // horizon) re-applies identical words — harmless by idempotence of
 // content — and acquirers reconcile versions through fetch.
 //
-/// The hand-off policy lives here: a commit based on the current version
+// The hand-off policy lives here: a commit based on the current version
 // (m.HaveVer == ver) from the same remote node that made the previous
 // such commit rebinds mastership to that node, as does the very first
 // commit to a still-virgin page (ver 0) — the writer that populates a

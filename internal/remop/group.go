@@ -1,8 +1,6 @@
 package remop
 
 import (
-	"fmt"
-
 	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -45,7 +43,7 @@ func (ep *Endpoint) CallMany(f *sim.Fiber, dsts []ring.NodeID, req wire.Msg) ([]
 		ps[i] = p
 		ep.transmit(p)
 	}
-	f.Park(fmt.Sprintf("call-many %v -> %d nodes", req.Kind(), len(dsts)))
+	f.ParkFor(sim.Labelf("call-many %v -> %d nodes", req.Kind(), int64(len(dsts))))
 	out := make([]wire.Msg, len(dsts))
 	var err error
 	for i, p := range ps {
@@ -95,7 +93,7 @@ func (ep *Endpoint) CallRedirect(f *sim.Fiber, dst ring.NodeID, req wire.Msg, st
 	p.stuckAfter = stuckAfter
 	ep.transmit(p)
 	for {
-		f.Park(fmt.Sprintf("call %v -> node %d (redirectable)", req.Kind(), p.dst))
+		f.ParkFor(sim.Labelf("call %v -> node %d (redirectable)", req.Kind(), int64(p.dst)))
 		if len(p.replies) > 0 {
 			return ep.finish(p)
 		}

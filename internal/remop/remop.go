@@ -413,7 +413,7 @@ func (ep *Endpoint) Call(f *sim.Fiber, dst ring.NodeID, req wire.Msg) (wire.Msg,
 	}
 	p := ep.newPending(f, dst, req, 1, false)
 	ep.transmit(p)
-	f.Park(fmt.Sprintf("call %v -> node %d", req.Kind(), dst))
+	f.ParkFor(sim.Labelf("call %v -> node %d", req.Kind(), int64(dst)))
 	return ep.finish(p)
 }
 
@@ -433,7 +433,7 @@ func (ep *Endpoint) CallFailFast(f *sim.Fiber, dst ring.NodeID, req wire.Msg) (w
 	p := ep.newPending(f, dst, req, 1, false)
 	p.failFast = true
 	ep.transmit(p)
-	f.Park(fmt.Sprintf("call %v -> node %d (fail-fast)", req.Kind(), dst))
+	f.ParkFor(sim.Labelf("call %v -> node %d (fail-fast)", req.Kind(), int64(dst)))
 	return ep.finish(p)
 }
 
@@ -444,7 +444,7 @@ func (ep *Endpoint) BroadcastAny(f *sim.Fiber, req wire.Msg) (wire.Msg, error) {
 	ep.stats.Broadcasts++
 	p := ep.newPending(f, ring.Broadcast, req, 1, true)
 	ep.transmit(p)
-	f.Park(fmt.Sprintf("broadcast-any %v", req.Kind()))
+	f.ParkFor(sim.Labelf("broadcast-any %v", req.Kind()))
 	return ep.finish(p)
 }
 
@@ -459,7 +459,7 @@ func (ep *Endpoint) BroadcastAll(f *sim.Fiber, req wire.Msg) ([]wire.Msg, error)
 	}
 	p := ep.newPending(f, ring.Broadcast, req, want, true)
 	ep.transmit(p)
-	f.Park(fmt.Sprintf("broadcast-all %v", req.Kind()))
+	f.ParkFor(sim.Labelf("broadcast-all %v", req.Kind()))
 	delete(ep.out, p.reqID)
 	if len(p.replies) < want {
 		return nil, p.failErr()
@@ -622,15 +622,12 @@ func (ep *Endpoint) handleRequest(env *wire.Envelope) {
 		ep.stats.DuplicatesBusy++
 		return
 	}
-	h, ok := ep.handlers[env.Body.Kind()]
-	if !ok {
-		panic(fmt.Sprintf("remop: node %d has no handler for %v", ep.id, env.Body.Kind()))
-	}
+	h := ep.handler(env.Body.Kind())
 	ep.inProgress[key] = true
 	ep.stats.RequestsServed++
 	span := ep.spanOf(env)
-	name := fmt.Sprintf("node%d/%v#%d", ep.id, env.Body.Kind(), env.ReqID)
-	ep.eng.Go(name, func(f *sim.Fiber) {
+	name := sim.Labelf("node%d/%v#%d", env.Body.Kind(), int64(ep.id), int64(env.ReqID))
+	ep.eng.GoNamed(name, func(f *sim.Fiber) {
 		// The handler fiber inherits the request's fault span, so work it
 		// does on the fault's behalf (page copies, disk I/O, nested
 		// calls) attributes to that fault.
@@ -654,13 +651,20 @@ func (ep *Endpoint) handleRequest(env *wire.Envelope) {
 	})
 }
 
+// handler returns the handler registered for kind, which a node must
+// have for every request kind it can receive.
+func (ep *Endpoint) handler(kind wire.Kind) Handler {
+	h, ok := ep.handlers[kind]
+	if !ok {
+		panic(fmt.Sprintf("remop: node %d has no handler for %v", ep.id, kind))
+	}
+	return h
+}
+
 // handleNoReply runs a no-reply broadcast's handler directly in engine
 // context with a nil Ctx fiber; such handlers must not block.
 func (ep *Endpoint) handleNoReply(env *wire.Envelope) {
-	h, ok := ep.handlers[env.Body.Kind()]
-	if !ok {
-		panic(fmt.Sprintf("remop: node %d has no handler for %v", ep.id, env.Body.Kind()))
-	}
+	h := ep.handler(env.Body.Kind())
 	ep.stats.RequestsServed++
 	if reply := h(&Ctx{ep: ep, env: env}, env); reply != nil {
 		panic(fmt.Sprintf("remop: handler for no-reply %v returned a reply", env.Body.Kind()))

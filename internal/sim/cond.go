@@ -16,7 +16,7 @@ func NewCond(name string) *Cond { return &Cond{name: name} }
 // any condition variable, callers must re-check their predicate on wakeup.
 func (c *Cond) Wait(f *Fiber) {
 	c.waiters = append(c.waiters, f)
-	f.Park("waiting on " + c.name)
+	f.ParkFor(Textf("waiting on %s", c.name))
 }
 
 // Signal wakes the longest-waiting fiber, if any, and reports whether one

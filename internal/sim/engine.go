@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -76,12 +77,18 @@ type Engine struct {
 	running bool
 
 	// Fiber bookkeeping. current is the fiber executing right now (nil
-	// when an event callback is running). parked maps live-but-blocked
-	// fibers to a description of what they wait for, used in deadlock
-	// reports.
-	current *Fiber
-	live    int
-	parked  map[*Fiber]string
+	// when an event callback is running). live counts the fibers whose
+	// bodies have not returned, linked from liveHead; Parked walks that
+	// list for the ones waiting in yield.
+	current  *Fiber
+	live     int
+	liveHead *Fiber
+
+	// idle holds the workers whose fibers finished, LIFO, for the next
+	// fiber start to reuse. Like free, it is engine-local and touched
+	// only by the token holder; RunUntil ends every idle worker before
+	// it returns, so no worker outlives a run.
+	idle []worker
 
 	// engineResume wakes the goroutine that called RunUntil when the
 	// run ends while a fiber holds the scheduling token (run drained,
@@ -124,7 +131,6 @@ type Engine struct {
 func New(seed int64) *Engine {
 	return &Engine{
 		rng:          rand.New(rand.NewSource(seed)),
-		parked:       make(map[*Fiber]string),
 		engineResume: make(chan struct{}),
 	}
 }
@@ -268,6 +274,8 @@ func (e *Engine) Run() error {
 
 // RunUntil is Run with a time horizon: events scheduled after limit are
 // left in the queue and the clock stops at the last executed event.
+//
+//ivy:hostworld ends the idle worker goroutines of the run
 func (e *Engine) RunUntil(limit Time) error {
 	if e.running || e.current != nil {
 		panic("sim: Run called from inside the simulation")
@@ -279,36 +287,49 @@ func (e *Engine) RunUntil(limit Time) error {
 	// it; clear so a later RunUntil passes the re-entrancy guard.
 	e.current = nil
 	e.running = false
+	for i, w := range e.idle {
+		close(w)
+		e.idle[i] = nil
+	}
+	e.idle = e.idle[:0]
 	if e.panicMsg != "" {
 		panic(e.panicMsg)
 	}
 	if !e.stopped && e.live > 0 && e.pending() == 0 {
 		return fmt.Errorf("sim: deadlock at %v: %d fiber(s) parked: %s",
-			e.now, e.live, e.parkedSummary())
+			e.now, e.live, strings.Join(e.Parked(), "; "))
 	}
 	return nil
 }
 
 // dispatch is the engine's scheduler loop, run by whichever goroutine
 // currently holds the scheduling token: the RunUntil caller (self ==
-// nil) or a fiber that just yielded (self != nil) or terminated (dying).
-// It executes events in (at, seq) order until one of:
+// nil) or the worker of a fiber that just yielded (self != nil) or
+// finished (dying). It executes events in (at, seq) order until one of:
 //
-//   - the next event resumes self: return, and the caller continues its
-//     fiber body with zero channel operations — a sleeping fiber whose
-//     wakeup is the next event never leaves its goroutine;
+//   - the next event resumes a fiber running on self: return true, and
+//     the caller continues its fiber body with zero channel operations —
+//     a sleeping fiber whose wakeup is the next event never leaves its
+//     goroutine. For a dying caller, whose worker is back on the idle
+//     list, this is the next fiber to start being bound to that same
+//     worker: the worker runs it without a goroutine switch;
 //   - the next event resumes another fiber: hand the token over with a
 //     single channel send (one scheduler round trip, not the two of a
 //     yield-to-central-loop design) and park until resumed in turn;
 //   - the run ends (queue drained, Stop, horizon): return the token to
 //     the RunUntil caller.
 //
-// Determinism is untouched: exactly one goroutine holds the token at any
-// moment, and the event order is the same total (at, seq) order as ever —
-// only the number of goroutine switches per event changes.
+// A fiber's first dispatch binds it to a worker, the most recently idle
+// one or else a new one. Determinism is untouched: exactly one goroutine
+// holds the token at any moment, and the event order is the same total
+// (at, seq) order as ever — which goroutine runs a fiber, and how many
+// switches an event costs, never decides what runs next.
+//
+// The result matters only to a dying caller: false means the token went
+// elsewhere, and the worker waits idle.
 //
 //ivy:hostworld token-handoff channel handshake between fiber goroutines
-func (e *Engine) dispatch(self *Fiber, dying bool) {
+func (e *Engine) dispatch(self worker, dying bool) bool {
 	for !e.stopped {
 		// With an external source installed (real-transport runs only),
 		// pull injected work in before choosing the next event.
@@ -372,15 +393,17 @@ func (e *Engine) dispatch(self *Fiber, dying bool) {
 				fn() // a panic here propagates raw from RunUntil
 			} else if !e.callEvent(fn) {
 				// The callback panicked on a fiber's goroutine: forward
-				// the message to the RunUntil caller and abandon this
-				// goroutine (its body must not unwind — that would run
-				// user defers for a failure that is not its own).
+				// the message to the RunUntil caller. A dying caller's
+				// worker is on the idle list, which RunUntil empties,
+				// ending it; a live fiber's goroutine is abandoned (its
+				// body must not unwind — that would run user defers for
+				// a failure that is not its own).
 				e.engineResume <- struct{}{}
 				if dying {
-					return
+					return false
 				}
-				<-self.resume // never resumed; the run is aborting
-				return
+				<-self // never resumed; the run is aborting
+				return false
 			}
 			continue
 		}
@@ -388,34 +411,38 @@ func (e *Engine) dispatch(self *Fiber, dying bool) {
 			continue // stale wakeup for a terminated fiber
 		}
 		e.fiberSwitches++
-		delete(e.parked, fb)
+		fb.parked = false
 		e.current = fb
-		if fb == self {
-			return // own wakeup: continue the body, no goroutine switch
+		if fb.w == nil {
+			fb.w = e.worker() // first dispatch: start the body
 		}
-		fb.resume <- struct{}{}
+		if fb.w == self {
+			return true // own wakeup: continue on this goroutine
+		}
+		fb.w <- struct{}{}
 		if dying {
-			return // terminated fiber: hand off and let the goroutine exit
+			return false // finished fiber: hand off, the worker waits idle
 		}
 		if self == nil {
 			// The RunUntil caller parks until the run ends elsewhere.
 			<-e.engineResume
-			return
+			return false
 		}
-		<-self.resume
-		return
+		<-self
+		return true
 	}
 	// Run over: queue drained, horizon reached, or Stop. Return the
 	// token to the RunUntil caller if a fiber holds it.
 	if self == nil {
-		return
+		return false
 	}
 	e.engineResume <- struct{}{}
 	if dying {
-		return
+		return false
 	}
 	// Park until a future RunUntil resumes this fiber again.
-	<-self.resume
+	<-self
+	return true
 }
 
 // callEvent runs an event callback on a fiber's goroutine, converting a
@@ -431,35 +458,20 @@ func (e *Engine) callEvent(fn func()) (ok bool) {
 	return true
 }
 
-// parkedSummary renders the parked-fiber table for deadlock errors,
-// sorted for stable output.
-func (e *Engine) parkedSummary() string {
-	lines := make([]string, 0, len(e.parked))
-	for f, why := range e.parked {
-		lines = append(lines, fmt.Sprintf("%s (%s)", f.name, why))
-	}
-	sort.Strings(lines)
-	s := ""
-	for i, l := range lines {
-		if i > 0 {
-			s += "; "
-		}
-		s += l
-	}
-	return s
-}
-
 // Current returns the fiber executing right now, or nil when the engine is
 // running a plain event callback.
 func (e *Engine) Current() *Fiber { return e.current }
 
 // Parked returns a sorted description of every live parked fiber — a
 // diagnostic for stuck simulations whose event queues never drain (e.g.
-// because periodic timers keep firing).
+// because periodic timers keep firing). Names and reasons are rendered
+// here, not when the fibers parked.
 func (e *Engine) Parked() []string {
-	out := make([]string, 0, len(e.parked))
-	for f, why := range e.parked {
-		out = append(out, f.name+" ("+why+")")
+	var out []string
+	for f := e.liveHead; f != nil; f = f.next {
+		if f.parked {
+			out = append(out, f.Name()+" ("+f.why.String()+")")
+		}
 	}
 	sort.Strings(out)
 	return out

@@ -37,7 +37,7 @@ func (r *Resource) Acquire(f *Fiber) {
 		return
 	}
 	r.waiters = append(r.waiters, f)
-	f.Park("waiting for " + r.name)
+	f.ParkFor(Textf("waiting for %s", r.name))
 }
 
 // TryAcquire obtains a unit only if one is immediately free, returning

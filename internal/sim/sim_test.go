@@ -556,3 +556,17 @@ func BenchmarkFiberSwitch(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+func BenchmarkFiberSpawn(b *testing.B) {
+	e := New(1)
+	e.Go("bench", func(f *Fiber) {
+		for i := 0; i < b.N; i++ {
+			e.Go("child", func(*Fiber) {})
+			f.Sleep(time.Microsecond)
+		}
+	})
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

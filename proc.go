@@ -8,6 +8,7 @@ import (
 	"repro/internal/ec"
 	"repro/internal/proc"
 	"repro/internal/ring"
+	"repro/internal/sim"
 )
 
 // Proc is a lightweight IVY process — the handle client programs use for
@@ -323,7 +324,7 @@ func (p *Proc) Migrate(node int) { p.inner.MigrateTo(ring.NodeID(node)) }
 func (p *Proc) SetMigratable(v bool) { p.inner.SetMigratable(v) }
 
 // Suspend blocks the process until another process resumes it by PID.
-func (p *Proc) Suspend(reason string) { p.inner.Suspend(reason) }
+func (p *Proc) Suspend(reason string) { p.inner.Suspend(sim.Text(reason)) }
 
 // PID returns the process identity (processor number, PCB handle).
 func (p *Proc) PID() proc.PID { return p.inner.PID() }
